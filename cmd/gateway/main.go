@@ -1,7 +1,6 @@
 // Command gateway fronts a gliderd fleet: consistent-hash job routing
-// across N backends, health-aware membership, capped-backoff retries with
-// optional hedging, and a gateway-level result cache (see internal/gateway
-// and DESIGN.md §12).
+// across N backends, health-aware membership, capped-backoff retries, and a
+// gateway-level result cache (see internal/gateway and DESIGN.md §12).
 //
 // Quickstart (3-shard local fleet):
 //
@@ -29,6 +28,15 @@ import (
 	"glider/internal/gateway"
 )
 
+// Listener timeouts: a client that trickles its request headers, or parks an
+// idle keep-alive connection, cannot hold a connection forever. The idle
+// timeout outlasts net/http's default client idle timeout (90s), so clients
+// on the default transport close first and never race a server-side close.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	backends := flag.String("backends", "", "comma-separated gliderd base URLs (required)")
@@ -37,7 +45,6 @@ func main() {
 	retries := flag.Int("retries", 3, "max attempts per job (first try included)")
 	backoffBase := flag.Duration("backoff-base", 50*time.Millisecond, "first retry delay")
 	backoffCap := flag.Duration("backoff-cap", 2*time.Second, "per-attempt retry delay ceiling")
-	hedge := flag.Duration("hedge", 0, "hedge a second shard after this delay (0 = off)")
 	cacheEntries := flag.Int("cache", 1024, "gateway result cache entries")
 	seed := flag.Int64("seed", 1, "retry jitter seed")
 	flag.Parse()
@@ -61,15 +68,14 @@ func main() {
 		BackoffBase:  *backoffBase,
 		BackoffCap:   *backoffCap,
 		BackoffSeed:  *seed,
-		HedgeDelay:   *hedge,
 		CacheEntries: *cacheEntries,
 	})
 	g.Poll(context.Background()) // establish initial membership before serving
 
-	hs := &http.Server{Addr: *addr, Handler: g.Handler()}
+	hs := &http.Server{Addr: *addr, Handler: g.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
-	log.Printf("gateway: listening on %s over %d backends (retries=%d hedge=%s)", *addr, len(bases), *retries, *hedge)
+	log.Printf("gateway: listening on %s over %d backends (retries=%d)", *addr, len(bases), *retries)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)

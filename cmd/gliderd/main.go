@@ -30,6 +30,16 @@ import (
 	"glider/internal/server"
 )
 
+// Listener timeouts: a client that trickles its request headers, or parks an
+// idle keep-alive connection, cannot hold a connection forever. The idle
+// timeout outlasts net/http's default client idle timeout (90s), so clients
+// on the default transport (the gateway's included) close first and never
+// race a server-side close.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	queueDepth := flag.Int("queue", 64, "bounded job queue depth (full queue answers 429)")
@@ -75,7 +85,7 @@ func main() {
 		Ledger:         led,
 	})
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
 	log.Printf("gliderd: listening on %s (queue=%d workers=%d batch-max=%d)", *addr, *queueDepth, *workers, *batchMax)

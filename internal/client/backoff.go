@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-
-	"glider/internal/server"
 )
 
 // Backoff computes capped exponential retry delays with seeded jitter.
@@ -149,81 +147,4 @@ func Retry(ctx context.Context, b *Backoff, attempts int, fn func(context.Contex
 		}
 	}
 	return err
-}
-
-// HedgeOutcome reports what a Hedged call did: whether the hedge was
-// launched at all, and whether its response is the one returned.
-type HedgeOutcome struct {
-	Fired bool
-	Won   bool
-}
-
-// Hedged runs primary and, if no outcome lands within delay, races hedge
-// against it — the straggler defence: a stalled shard stops gating tail
-// latency because a second shard answers in parallel. The first outcome to
-// arrive before the hedge fires wins outright (fast failures go back to the
-// caller's retry loop instead of hedging); after the hedge fires the first
-// success wins and the loser's context is cancelled. If both fail the
-// primary's error is returned.
-func Hedged(ctx context.Context, delay time.Duration,
-	primary, hedge func(context.Context) (server.Envelope, error)) (server.Envelope, HedgeOutcome, error) {
-
-	type outcome struct {
-		env    server.Envelope
-		err    error
-		hedged bool
-	}
-	results := make(chan outcome, 2)
-
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	go func() {
-		env, err := primary(pctx)
-		results <- outcome{env: env, err: err}
-	}()
-
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	select {
-	case r := <-results:
-		return r.env, HedgeOutcome{}, r.err
-	case <-ctx.Done():
-		return server.Envelope{}, HedgeOutcome{}, ctx.Err()
-	case <-timer.C:
-	}
-
-	out := HedgeOutcome{Fired: true}
-	hctx, hcancel := context.WithCancel(ctx)
-	defer hcancel()
-	go func() {
-		env, err := hedge(hctx)
-		results <- outcome{env: env, err: err, hedged: true}
-	}()
-
-	var firstErr outcome
-	for i := 0; i < 2; i++ {
-		select {
-		case r := <-results:
-			if r.err == nil {
-				out.Won = r.hedged
-				if r.hedged {
-					pcancel()
-				} else {
-					hcancel()
-				}
-				return r.env, out, nil
-			}
-			if i == 0 {
-				firstErr = r
-			} else if !firstErr.hedged {
-				// Both failed: prefer the primary's error.
-				return firstErr.env, out, firstErr.err
-			} else {
-				return r.env, out, r.err
-			}
-		case <-ctx.Done():
-			return server.Envelope{}, out, ctx.Err()
-		}
-	}
-	return firstErr.env, out, firstErr.err
 }

@@ -3,12 +3,10 @@ package client_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
 	"glider/internal/client"
-	"glider/internal/server"
 )
 
 // TestBackoffBoundedTotalWait is the satellite fix's proof obligation: the
@@ -150,87 +148,5 @@ func TestRetryHonorsContext(t *testing.T) {
 	}
 	if calls > 2 {
 		t.Fatalf("retry kept going after cancellation: %d calls", calls)
-	}
-}
-
-func TestHedgedFastPrimaryWinsWithoutFiring(t *testing.T) {
-	t.Parallel()
-	env, out, err := client.Hedged(context.Background(), 50*time.Millisecond,
-		func(context.Context) (server.Envelope, error) {
-			return server.Envelope{Hash: "primary"}, nil
-		},
-		func(context.Context) (server.Envelope, error) {
-			t.Error("hedge fired for a fast primary")
-			return server.Envelope{}, nil
-		})
-	if err != nil || env.Hash != "primary" || out.Fired || out.Won {
-		t.Fatalf("env=%+v out=%+v err=%v", env, out, err)
-	}
-}
-
-func TestHedgedStragglerLosesToHedge(t *testing.T) {
-	t.Parallel()
-	release := make(chan struct{})
-	defer close(release)
-	primaryCancelled := make(chan struct{})
-	env, out, err := client.Hedged(context.Background(), 5*time.Millisecond,
-		func(ctx context.Context) (server.Envelope, error) {
-			select {
-			case <-release:
-				return server.Envelope{Hash: "primary"}, nil
-			case <-ctx.Done():
-				close(primaryCancelled)
-				return server.Envelope{}, ctx.Err()
-			}
-		},
-		func(context.Context) (server.Envelope, error) {
-			return server.Envelope{Hash: "hedge"}, nil
-		})
-	if err != nil || env.Hash != "hedge" || !out.Fired || !out.Won {
-		t.Fatalf("env=%+v out=%+v err=%v", env, out, err)
-	}
-	select {
-	case <-primaryCancelled:
-	case <-time.After(5 * time.Second):
-		t.Fatal("stalled primary was not cancelled after the hedge won")
-	}
-}
-
-// TestHedgedFastFailureReturnsWithoutHedging: a primary that fails before
-// the hedge delay returns its error straight to the caller's retry loop —
-// hedging is a straggler defence, not a retry mechanism.
-func TestHedgedFastFailureReturnsWithoutHedging(t *testing.T) {
-	t.Parallel()
-	boom := &client.APIError{StatusCode: 429, Message: "full"}
-	_, out, err := client.Hedged(context.Background(), 50*time.Millisecond,
-		func(context.Context) (server.Envelope, error) { return server.Envelope{}, boom },
-		func(context.Context) (server.Envelope, error) {
-			t.Error("hedge fired for a fast failure")
-			return server.Envelope{}, nil
-		})
-	if err != boom || out.Fired {
-		t.Fatalf("out=%+v err=%v", out, err)
-	}
-}
-
-func TestHedgedBothFailReturnsPrimaryError(t *testing.T) {
-	t.Parallel()
-	perr := fmt.Errorf("primary down")
-	herr := fmt.Errorf("hedge down")
-	release := make(chan struct{})
-	_, out, err := client.Hedged(context.Background(), time.Millisecond,
-		func(context.Context) (server.Envelope, error) {
-			<-release
-			return server.Envelope{}, perr
-		},
-		func(context.Context) (server.Envelope, error) {
-			close(release) // hedge fails first, then primary
-			return server.Envelope{}, herr
-		})
-	if !out.Fired || out.Won {
-		t.Fatalf("out=%+v", out)
-	}
-	if err != perr {
-		t.Fatalf("err = %v, want the primary's error", err)
 	}
 }

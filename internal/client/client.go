@@ -93,7 +93,7 @@ func (c *Client) Sim(ctx context.Context, spec server.JobSpec) (SimResponse, err
 // Do posts spec to the endpoint matching its Kind ("sim" → /v1/sim,
 // "predict" → /v1/predict, "estimate" → /v1/estimate, defaulting to sim)
 // and returns the raw envelope without decoding the result — the forwarding
-// primitive the gateway's routing, retry, and hedging paths are built on.
+// primitive the gateway's routing and retry paths are built on.
 func (c *Client) Do(ctx context.Context, spec server.JobSpec) (server.Envelope, error) {
 	path := "/v1/sim"
 	switch spec.Kind {

@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"strconv"
 	"testing"
-	"time"
 
 	"glider/internal/server"
 )
@@ -157,59 +156,5 @@ func TestChaosNodeKillFailsOverAndMarksDown(t *testing.T) {
 	}
 	if got := c.counter("gateway.retries"); got != before {
 		t.Fatalf("post-kill traffic needed %d extra retries", got-before)
-	}
-}
-
-// TestChaosStallTriggersHedgeThatWins stalls one node's job endpoints. A job
-// owned by the stalled node is rescued by the hedge: the successor answers,
-// the straggler's request is cancelled, and the job still counts exactly one
-// execution (the stall holds the request ahead of the executor).
-func TestChaosStallTriggersHedgeThatWins(t *testing.T) {
-	c := newCluster(t, 3, cannedCellExec, func(cfg *Config) {
-		cfg.HedgeDelay = 5 * time.Millisecond
-	})
-	const victim = 0
-	seed := seedOwnedBy(t, c, victim, 0)
-	release := c.nodes[victim].Stall()
-	defer release()
-
-	start := time.Now()
-	status, _, body := postJSON(t, c.ts, "/v1/sim", simBody(seed))
-	elapsed := time.Since(start)
-	if status != http.StatusOK {
-		t.Fatalf("stalled owner: status %d body %s", status, body)
-	}
-	if elapsed > 3*time.Second {
-		t.Fatalf("hedge took %v — response waited for the straggler", elapsed)
-	}
-	hash := validatedSpec(t, seed).Hash()
-	if got := c.totalExecs(hash); got != 1 {
-		t.Fatalf("hedged job executed %d times, want 1", got)
-	}
-	if got := c.nodes[victim].execCount(hash); got != 0 {
-		t.Fatal("stalled node executed the job — stall sits ahead of the executor")
-	}
-	if c.counter("gateway.hedges") == 0 || c.counter("gateway.hedge.wins") == 0 {
-		t.Fatalf("hedge counters: hedges=%d wins=%d",
-			c.counter("gateway.hedges"), c.counter("gateway.hedge.wins"))
-	}
-
-	// A job owned by a healthy node answers before the hedge delay: no new
-	// hedge fires for it.
-	fastSeed := int64(-1)
-	for s := int64(500); s < 1000; s++ {
-		if c.ownerIndex(t, validatedSpec(t, s).Hash()) != victim {
-			fastSeed = s
-			break
-		}
-	}
-	if fastSeed < 0 {
-		t.Fatal("no seed owned by a healthy node")
-	}
-	if status, _, _ := postJSON(t, c.ts, "/v1/sim", simBody(fastSeed)); status != http.StatusOK {
-		t.Fatalf("healthy-owner job failed")
-	}
-	if got := c.totalExecs(validatedSpec(t, fastSeed).Hash()); got != 1 {
-		t.Fatal("healthy-owner job not executed exactly once")
 	}
 }

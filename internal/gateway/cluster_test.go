@@ -17,8 +17,8 @@ import (
 )
 
 // chaosNode is one in-process gliderd backend wrapped in a deterministic
-// fault-injection layer: forced 429s and response stalls flip on and off per
-// node, the whole node dies via Kill, and every executor invocation is
+// fault-injection layer: forced 429s flip on and off per node, the whole
+// node dies via Kill, and every executor invocation is
 // counted per job hash so tests can prove a job ran exactly once across the
 // fleet.
 type chaosNode struct {
@@ -27,7 +27,6 @@ type chaosNode struct {
 	ts   *httptest.Server
 
 	force429 atomic.Bool
-	stall    atomic.Pointer[chan struct{}]
 
 	mu    sync.Mutex
 	execs map[string]int
@@ -43,20 +42,6 @@ func (n *chaosNode) execCount(hash string) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.execs[hash]
-}
-
-// Stall makes /v1/ requests hang until the returned release func is called
-// (or the request's context dies).
-func (n *chaosNode) Stall() (release func()) {
-	ch := make(chan struct{})
-	n.stall.Store(&ch)
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			n.stall.Store(nil)
-			close(ch)
-		})
-	}
 }
 
 // Kill closes the node's listener and in-flight connections: every
@@ -79,13 +64,6 @@ func (n *chaosNode) handler(inner http.Handler) http.Handler {
 				w.WriteHeader(http.StatusTooManyRequests)
 				fmt.Fprint(w, `{"error":"injected saturation"}`)
 				return
-			}
-			if p := n.stall.Load(); p != nil {
-				select {
-				case <-*p:
-				case <-r.Context().Done():
-					return
-				}
 			}
 		}
 		inner.ServeHTTP(w, r)

@@ -1,17 +1,16 @@
 package gateway
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
 
 	"glider/internal/client"
+	"glider/internal/lru"
 	"glider/internal/obs"
 	"glider/internal/server"
 )
@@ -37,9 +36,6 @@ type Config struct {
 	BackoffBase, BackoffCap time.Duration
 	// BackoffSeed fixes the jitter sequence for deterministic tests.
 	BackoffSeed int64
-	// HedgeDelay, when positive, races a second shard after a request has
-	// gone unanswered that long (straggler defence). 0 disables hedging.
-	HedgeDelay time.Duration
 	// CacheEntries bounds the gateway-level result LRU (default 1024) — the
 	// upper tier over the per-node caches.
 	CacheEntries int
@@ -113,25 +109,17 @@ type Gateway struct {
 	pollDone chan struct{}
 
 	cmu   sync.Mutex
-	cache map[string]*list.Element
-	order *list.List // front = most recently used
+	cache *lru.Cache[string, json.RawMessage]
 
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
 	nodeCacheHt *obs.Counter
 	retries     *obs.Counter
 	failovers   *obs.Counter
-	hedges      *obs.Counter
-	hedgeWins   *obs.Counter
 	completed   *obs.Counter
 	saturated   *obs.Counter
 	noBackends  *obs.Counter
 	latency     *obs.Timer
-}
-
-type gwCacheEntry struct {
-	hash   string
-	result json.RawMessage
 }
 
 // New builds a gateway over cfg.Backends. Every backend starts as a ring
@@ -150,8 +138,7 @@ func New(cfg Config) *Gateway {
 		detail:   make(map[string]server.Health, len(cfg.Backends)),
 		stopCh:   make(chan struct{}),
 		pollDone: make(chan struct{}),
-		cache:    make(map[string]*list.Element),
-		order:    list.New(),
+		cache:    lru.New[string, json.RawMessage](cfg.CacheEntries),
 	}
 	for i, base := range cfg.Backends {
 		n := &node{name: "b" + strconv.Itoa(i), base: base, c: client.New(base, cfg.HTTPClient)}
@@ -165,8 +152,6 @@ func New(cfg Config) *Gateway {
 	g.nodeCacheHt = g.reg.Counter("gateway.node_cache.hits")
 	g.retries = g.reg.Counter("gateway.retries")
 	g.failovers = g.reg.Counter("gateway.failovers")
-	g.hedges = g.reg.Counter("gateway.hedges")
-	g.hedgeWins = g.reg.Counter("gateway.hedge.wins")
 	g.completed = g.reg.Counter("gateway.jobs.completed")
 	g.saturated = g.reg.Counter("gateway.rejected.saturated")
 	g.noBackends = g.reg.Counter("gateway.rejected.no_backends")
@@ -258,9 +243,8 @@ func (g *Gateway) candidates(hash string) []*node {
 var errNoBackends = errors.New("no healthy backends")
 
 // dispatch forwards spec to its owning shard, walking the successor order on
-// temporary failures with capped jittered backoff, hedging stragglers when
-// configured. Exactly one envelope is returned per call no matter how many
-// attempts or hedges were launched.
+// temporary failures with capped jittered backoff. Exactly one envelope is
+// returned per call no matter how many attempts were made.
 func (g *Gateway) dispatch(ctx context.Context, spec server.JobSpec, hash string) (server.Envelope, error) {
 	cands := g.candidates(hash)
 	if len(cands) == 0 {
@@ -278,76 +262,24 @@ func (g *Gateway) dispatch(ctx context.Context, spec server.JobSpec, hash string
 				g.failovers.Inc()
 			}
 		}
-		primary := cands[i%len(cands)]
-		var hedge *node
-		if g.cfg.HedgeDelay > 0 && len(cands) > 1 {
-			hedge = cands[(i+1)%len(cands)]
-		}
-		e, who, err := g.callNode(ctx, primary, hedge, spec)
+		n := cands[i%len(cands)]
+		e, err := n.c.Do(ctx, spec)
 		if err != nil {
-			if hedge == nil && client.IsTemporary(err) && !isAPIError(err) {
-				g.markDown(primary) // transport failure: node is gone
+			if client.IsTemporary(err) && !isAPIError(err) {
+				g.markDown(n) // transport failure: node is gone
 			}
 			return err
 		}
 		env = e
-		g.reg.Counter("gateway.node." + who.name + ".served").Inc()
+		g.reg.Counter("gateway.node." + n.name + ".served").Inc()
 		return nil
 	})
 	return env, err
 }
 
-func (g *Gateway) callNode(ctx context.Context, primary, hedge *node, spec server.JobSpec) (server.Envelope, *node, error) {
-	if hedge == nil || hedge == primary {
-		env, err := primary.c.Do(ctx, spec)
-		return env, primary, err
-	}
-	env, out, err := client.Hedged(ctx, g.cfg.HedgeDelay,
-		func(ctx context.Context) (server.Envelope, error) { return primary.c.Do(ctx, spec) },
-		func(ctx context.Context) (server.Envelope, error) { return hedge.c.Do(ctx, spec) })
-	if out.Fired {
-		g.hedges.Inc()
-	}
-	who := primary
-	if out.Won {
-		g.hedgeWins.Inc()
-		who = hedge
-	}
-	return env, who, err
-}
-
 func isAPIError(err error) bool {
 	var ae *client.APIError
 	return errors.As(err, &ae)
-}
-
-// ------------------------------------------------------------- result LRU
-
-func (g *Gateway) cacheGet(hash string) (json.RawMessage, bool) {
-	g.cmu.Lock()
-	defer g.cmu.Unlock()
-	el, ok := g.cache[hash]
-	if !ok {
-		return nil, false
-	}
-	g.order.MoveToFront(el)
-	return el.Value.(*gwCacheEntry).result, true
-}
-
-func (g *Gateway) cacheAdd(hash string, res json.RawMessage) {
-	g.cmu.Lock()
-	defer g.cmu.Unlock()
-	if el, ok := g.cache[hash]; ok {
-		g.order.MoveToFront(el)
-		el.Value.(*gwCacheEntry).result = res
-		return
-	}
-	g.cache[hash] = g.order.PushFront(&gwCacheEntry{hash: hash, result: res})
-	for len(g.cache) > g.cfg.CacheEntries {
-		el := g.order.Back()
-		g.order.Remove(el)
-		delete(g.cache, el.Value.(*gwCacheEntry).hash)
-	}
 }
 
 // ----------------------------------------------------------------- HTTP
@@ -366,58 +298,41 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/catalog", g.handleCatalog)
 	mux.HandleFunc("GET /v1/ledger/root", g.handleLedgerRoot)
 	mux.HandleFunc("GET /v1/ledger/proof", g.handleLedgerProof)
-	mux.HandleFunc("POST /v1/sim", g.handleJob(server.KindSim, "sim"))
-	mux.HandleFunc("POST /v1/predict", g.handleJob(server.KindPredict, "predict"))
-	mux.HandleFunc("POST /v1/estimate", g.handleJob(server.KindEstimate, "estimate"))
+	mux.HandleFunc("POST /v1/sim", g.handleJob(server.KindSim))
+	mux.HandleFunc("POST /v1/predict", g.handleJob(server.KindPredict))
+	mux.HandleFunc("POST /v1/estimate", g.handleJob(server.KindEstimate))
 	return mux
 }
 
-func (g *Gateway) handleJob(kind, endpoint string) http.HandlerFunc {
+func (g *Gateway) handleJob(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		g.reg.Counter("gateway.http." + endpoint).Inc()
+		g.reg.Counter("gateway.http." + kind).Inc()
 		start := time.Now()
-		var spec server.JobSpec
-		if err := decodeJSON(w, r, &spec); err != nil {
-			g.writeError(w, endpoint, badRequest(err.Error()))
-			return
-		}
-		if spec.Kind == "" {
-			spec.Kind = kind
-		}
-		if spec.Kind != kind {
-			g.writeError(w, endpoint, unprocessable(fmt.Sprintf("kind %q does not match endpoint /v1/%s", spec.Kind, endpoint)))
-			return
-		}
-		if err := spec.Validate(g.cfg.Limits); err != nil {
-			g.writeError(w, endpoint, err)
+		spec, err := server.DecodeJob(w, r, kind, g.cfg.Limits)
+		if err != nil {
+			g.writeError(w, kind, err)
 			return
 		}
 		hash := spec.Hash()
-		// stampEstimate re-derives the attribution header from the result
-		// body, so gateway-cache hits carry the same provenance a backend
-		// answer would.
-		stampEstimate := func(res json.RawMessage) {
-			if kind != server.KindEstimate {
-				return
-			}
-			if src := server.EstimateSource(res); src != "" {
-				w.Header().Set(server.EstimateHeader, src)
-			}
-		}
-		if res, ok := g.cacheGet(hash); ok {
+		g.cmu.Lock()
+		res, ok := g.cache.Get(hash)
+		g.cmu.Unlock()
+		if ok {
 			g.cacheHits.Inc()
 			w.Header().Set(CacheHeader, "gateway")
-			stampEstimate(res)
-			writeJSON(w, http.StatusOK, server.Envelope{Hash: hash, Cached: true, Result: res})
+			server.StampEstimate(w, kind, res)
+			server.WriteJSON(w, http.StatusOK, server.Envelope{Hash: hash, Cached: true, Result: res})
 			return
 		}
 		g.cacheMisses.Inc()
 		env, err := g.dispatch(r.Context(), spec, hash)
 		if err != nil {
-			g.writeError(w, endpoint, err)
+			g.writeError(w, kind, err)
 			return
 		}
-		g.cacheAdd(hash, env.Result)
+		g.cmu.Lock()
+		g.cache.Add(hash, env.Result)
+		g.cmu.Unlock()
 		g.completed.Inc()
 		g.latency.Observe(time.Since(start))
 		tier := "miss"
@@ -426,8 +341,8 @@ func (g *Gateway) handleJob(kind, endpoint string) http.HandlerFunc {
 			tier = "node"
 		}
 		w.Header().Set(CacheHeader, tier)
-		stampEstimate(env.Result)
-		writeJSON(w, http.StatusOK, server.Envelope{Hash: hash, Cached: env.Cached, Result: env.Result})
+		server.StampEstimate(w, kind, env.Result)
+		server.WriteJSON(w, http.StatusOK, server.Envelope{Hash: hash, Cached: env.Cached, Result: env.Result})
 	}
 }
 
@@ -458,12 +373,12 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, status, gh)
+	server.WriteJSON(w, status, gh)
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	g.reg.Counter("gateway.http.metrics").Inc()
-	writeJSON(w, http.StatusOK, g.reg.Snapshot())
+	server.WriteJSON(w, http.StatusOK, g.reg.Snapshot())
 }
 
 // handleCatalog proxies the catalog from the first live backend: the fleet
@@ -473,7 +388,7 @@ func (g *Gateway) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	for _, name := range g.ring.Nodes() {
 		cat, err := g.byName[name].c.Catalog(r.Context())
 		if err == nil {
-			writeJSON(w, http.StatusOK, cat)
+			server.WriteJSON(w, http.StatusOK, cat)
 			return
 		}
 	}
@@ -489,7 +404,7 @@ func (g *Gateway) handleLedgerRoot(w http.ResponseWriter, r *http.Request) {
 	for _, name := range g.ring.Nodes() {
 		st, err := g.byName[name].c.LedgerRoot(r.Context())
 		if err == nil {
-			writeJSON(w, http.StatusOK, st)
+			server.WriteJSON(w, http.StatusOK, st)
 			return
 		}
 		lastErr = err
@@ -509,7 +424,7 @@ func (g *Gateway) handleLedgerProof(w http.ResponseWriter, r *http.Request) {
 	for _, name := range g.ring.Nodes() {
 		p, err := g.byName[name].c.LedgerProof(r.Context(), artifact)
 		if err == nil {
-			writeJSON(w, http.StatusOK, p)
+			server.WriteJSON(w, http.StatusOK, p)
 			return
 		}
 		lastErr = err
@@ -519,31 +434,18 @@ func (g *Gateway) handleLedgerProof(w http.ResponseWriter, r *http.Request) {
 
 // ------------------------------------------------------------ error plumbing
 
-type gwError struct {
-	status int
-	msg    string
-}
-
-func (e *gwError) Error() string { return e.msg }
-
-func badRequest(msg string) error    { return &gwError{status: http.StatusBadRequest, msg: msg} }
-func unprocessable(msg string) error { return &gwError{status: 422, msg: msg} }
-
 // writeError maps a failure to a response. Backend rejections keep their
 // status and Retry-After semantics — a fleet-wide 429 surfaces to the caller
-// as a 429 with a Retry-After hint, transport-level failures become 502, and
-// an empty ring answers 503.
+// as a 429 with a Retry-After hint, transport-level failures become 502, an
+// empty ring answers 503, and an expired request 504.
 func (g *Gateway) writeError(w http.ResponseWriter, endpoint string, err error) {
 	g.reg.Counter("gateway.http." + endpoint + ".errors").Inc()
 	status := http.StatusBadGateway
 	retryAfter := ""
-	var ge *gwError
 	var ae *client.APIError
 	switch {
-	case errors.As(err, &ge):
-		status = ge.status
 	case server.StatusCode(err) != 0:
-		// Local validation rejections reuse the backend's status mapping so
+		// Rejections from server.DecodeJob keep the backend's status so
 		// the gateway answers exactly like a single node would.
 		status = server.StatusCode(err)
 	case errors.As(err, &ae):
@@ -561,28 +463,11 @@ func (g *Gateway) writeError(w http.ResponseWriter, endpoint string, err error) 
 	case errors.Is(err, errNoBackends):
 		status = http.StatusServiceUnavailable
 		retryAfter = "1"
-	case errors.Is(err, context.DeadlineExceeded):
-		status = http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		status = http.StatusGatewayTimeout
 	}
 	if retryAfter != "" {
 		w.Header().Set("Retry-After", retryAfter)
 	}
-	writeJSON(w, status, map[string]any{"error": err.Error()})
-}
-
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid request body: %w", err)
-	}
-	return nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	server.WriteJSON(w, status, map[string]any{"error": err.Error()})
 }

@@ -2,8 +2,8 @@
 // gateway that routes jobs to N backends with a consistent-hash ring keyed
 // by the canonical job hash (so each shard keeps cache locality for its
 // keys), health-aware membership off /healthz polling, capped-backoff
-// retries plus optional hedging on straggler shards, and a gateway-level
-// LRU result cache layered over the per-node caches.
+// retries that fail over along the ring, and a gateway-level LRU result
+// cache layered over the per-node caches.
 package gateway
 
 import (
@@ -133,7 +133,7 @@ func (r *Ring) Owner(key string) (string, bool) {
 }
 
 // Successors returns up to n distinct nodes in ring order starting at key's
-// owner — the preference order for failover and hedging: the owner first,
+// owner — the preference order for failover: the owner first,
 // then the nodes that would inherit the key if the owner vanished.
 func (r *Ring) Successors(key string, n int) []string {
 	r.mu.RLock()

@@ -124,6 +124,58 @@ func TestSimHappyPathAndCache(t *testing.T) {
 	}
 }
 
+// TestResultCacheEvictsLeastRecentlyUsed fills a two-entry result cache,
+// refreshes one job with a hit, and adds a third: the job left
+// least-recently-used re-executes while the refreshed one still hits.
+func TestResultCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	var mu sync.Mutex
+	execs := make(map[string]int)
+	counting := func(ctx context.Context, spec JobSpec) (json.RawMessage, error) {
+		mu.Lock()
+		execs[spec.Hash()]++
+		mu.Unlock()
+		return json.Marshal(map[string]int64{"seed": spec.Seed})
+	}
+	_, ts := newTestServer(t, Config{CacheEntries: 2, Executor: counting})
+
+	post := func(seed int64) Envelope {
+		t.Helper()
+		body := fmt.Sprintf(`{"workload":"omnetpp","policy":"lru","accesses":1000,"seed":%d}`, seed)
+		status, _, data := postJSON(t, ts, "/v1/sim", body)
+		if status != http.StatusOK {
+			t.Fatalf("seed %d: status %d, body %s", seed, status, data)
+		}
+		var env Envelope
+		if err := json.Unmarshal(data, &env); err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	for _, step := range []struct {
+		seed   int64
+		cached bool
+	}{
+		{1, false}, {2, false}, // fill: [2 1]
+		{1, true},  // refresh: [1 2]
+		{3, false}, // evicts 2: [3 1]
+		{1, true},  // the refreshed job survived
+		{2, false}, // the evicted job runs again
+	} {
+		if env := post(step.seed); env.Cached != step.cached {
+			t.Fatalf("seed %d: cached = %v, want %v", step.seed, env.Cached, step.cached)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	total := 0
+	for _, n := range execs {
+		total += n
+	}
+	if total != 4 {
+		t.Fatalf("executions = %d (%v), want 4: seeds 1 and 3 once, seed 2 twice", total, execs)
+	}
+}
+
 func TestPredictHappyPath(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body := `{"workload":"omnetpp","policy":"glider","accesses":60000,"seed":42,"top_pcs":16,"isvm_rows":4}`

@@ -17,7 +17,6 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -29,6 +28,7 @@ import (
 
 	"glider/internal/experiments"
 	"glider/internal/ledger"
+	"glider/internal/lru"
 	"glider/internal/obs"
 	"glider/internal/policy"
 	"glider/internal/simrunner"
@@ -159,12 +159,6 @@ type flight struct {
 	err      error
 }
 
-// cacheEntry is one LRU slot.
-type cacheEntry struct {
-	hash   string
-	result json.RawMessage
-}
-
 // Server is the gliderd service. Create with New, mount Handler, stop with
 // Drain.
 type Server struct {
@@ -178,8 +172,7 @@ type Server struct {
 	mu       sync.Mutex
 	draining bool
 	flights  map[string]*flight
-	cache    map[string]*list.Element
-	order    *list.List // front = most recently used cacheEntry
+	cache    *lru.Cache[string, json.RawMessage]
 
 	queueDepth  *obs.Histogram
 	waitTimer   *obs.Timer
@@ -200,8 +193,7 @@ func New(cfg Config) *Server {
 		stopCh:         make(chan struct{}),
 		dispatcherDone: make(chan struct{}),
 		flights:        make(map[string]*flight),
-		cache:          make(map[string]*list.Element),
-		order:          list.New(),
+		cache:          lru.New[string, json.RawMessage](cfg.CacheEntries),
 	}
 	s.queueDepth = s.reg.Histogram("server.queue.depth", obs.LinearBuckets(0, float64(max(cfg.QueueDepth/8, 1)), 9))
 	s.waitTimer = s.reg.Timer("server.job.wait.seconds")
@@ -308,7 +300,7 @@ func (s *Server) runBatch(batch []*flight) {
 func (s *Server) finish(f *flight, res json.RawMessage, err error) {
 	s.mu.Lock()
 	if err == nil {
-		s.cacheAdd(f.hash, res)
+		s.cache.Add(f.hash, res)
 	}
 	if s.flights[f.hash] == f {
 		delete(s.flights, f.hash)
@@ -399,7 +391,7 @@ func (s *Server) resolve(ctx context.Context, spec JobSpec) (json.RawMessage, bo
 	hash := spec.Hash()
 	for {
 		s.mu.Lock()
-		if res, ok := s.cacheGet(hash); ok {
+		if res, ok := s.cache.Get(hash); ok {
 			s.mu.Unlock()
 			s.cacheHits.Inc()
 			return res, true, nil
@@ -446,34 +438,6 @@ func (s *Server) resolve(ctx context.Context, spec JobSpec) (json.RawMessage, bo
 	}
 }
 
-// ------------------------------------------------------------ result LRU
-
-// cacheGet returns the cached result bytes. Caller holds s.mu.
-func (s *Server) cacheGet(hash string) (json.RawMessage, bool) {
-	el, ok := s.cache[hash]
-	if !ok {
-		return nil, false
-	}
-	s.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).result, true
-}
-
-// cacheAdd inserts a result, evicting the least-recently-used entry past
-// capacity. Caller holds s.mu.
-func (s *Server) cacheAdd(hash string, res json.RawMessage) {
-	if el, ok := s.cache[hash]; ok {
-		s.order.MoveToFront(el)
-		el.Value.(*cacheEntry).result = res
-		return
-	}
-	s.cache[hash] = s.order.PushFront(&cacheEntry{hash: hash, result: res})
-	for len(s.cache) > s.cfg.CacheEntries {
-		el := s.order.Back()
-		s.order.Remove(el)
-		delete(s.cache, el.Value.(*cacheEntry).hash)
-	}
-}
-
 // ----------------------------------------------------------------- HTTP
 
 // ShardHeader is the response header naming the instance that served a
@@ -486,17 +450,20 @@ const ShardHeader = "X-Gliderd-Shard"
 // without parsing the body.
 const EstimateHeader = "X-Gliderd-Estimate"
 
-// EstimateSource extracts the "source" field from a marshaled estimate
-// result ("" when absent). The gateway reuses it to stamp the attribution
-// header on estimate responses it answers from its own cache.
-func EstimateSource(res json.RawMessage) string {
+// StampEstimate sets EstimateHeader on w from the "source" field of a
+// marshaled result of the given job kind; non-estimate kinds and results
+// without a source leave w untouched. The gateway calls it too, so answers
+// from its own cache carry the same attribution a node's would.
+func StampEstimate(w http.ResponseWriter, kind string, res json.RawMessage) {
+	if kind != KindEstimate {
+		return
+	}
 	var v struct {
 		Source string `json:"source"`
 	}
-	if json.Unmarshal(res, &v) != nil {
-		return ""
+	if json.Unmarshal(res, &v) == nil && v.Source != "" {
+		w.Header().Set(EstimateHeader, v.Source)
 	}
-	return v.Source
 }
 
 // Health is the /healthz payload: the coarse state string ("ok" or
@@ -519,9 +486,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/catalog", s.handleCatalog)
 	mux.HandleFunc("GET /v1/ledger/root", s.handleLedgerRoot)
 	mux.HandleFunc("GET /v1/ledger/proof", s.handleLedgerProof)
-	mux.HandleFunc("POST /v1/sim", s.handleJob(KindSim, "sim"))
-	mux.HandleFunc("POST /v1/predict", s.handleJob(KindPredict, "predict"))
-	mux.HandleFunc("POST /v1/estimate", s.handleJob(KindEstimate, "estimate"))
+	mux.HandleFunc("POST /v1/sim", s.handleJob(KindSim))
+	mux.HandleFunc("POST /v1/predict", s.handleJob(KindPredict))
+	mux.HandleFunc("POST /v1/estimate", s.handleJob(KindEstimate))
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	if s.cfg.ShardID == "" {
 		return mux
@@ -543,7 +510,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 		state = "draining"
 	}
-	writeJSON(w, status, Health{
+	WriteJSON(w, status, Health{
 		Status:        state,
 		Shard:         s.cfg.ShardID,
 		Draining:      draining,
@@ -554,7 +521,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("server.http.metrics").Inc()
-	writeJSON(w, http.StatusOK, s.reg.Snapshot())
+	WriteJSON(w, http.StatusOK, s.reg.Snapshot())
 }
 
 func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
@@ -568,7 +535,7 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Strings(cat.Policies)
 	sort.Strings(cat.Predictors)
-	writeJSON(w, http.StatusOK, cat)
+	WriteJSON(w, http.StatusOK, cat)
 }
 
 // handleLedgerRoot publishes the ledger chain head: batch/artifact counts
@@ -579,7 +546,7 @@ func (s *Server) handleLedgerRoot(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, "ledger_root", &apiError{status: http.StatusNotFound, msg: "no ledger configured"})
 		return
 	}
-	writeJSON(w, http.StatusOK, s.cfg.Ledger.Root())
+	WriteJSON(w, http.StatusOK, s.cfg.Ledger.Root())
 }
 
 // handleLedgerProof answers ?artifact=<hex id> with a self-contained
@@ -606,41 +573,45 @@ func (s *Server) handleLedgerProof(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, "ledger_proof", &apiError{status: status, msg: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, p)
+	WriteJSON(w, http.StatusOK, p)
 }
 
-func (s *Server) handleJob(kind, endpoint string) http.HandlerFunc {
+// DecodeJob reads the body of a POST /v1/<kind> request: a bounded, strict
+// JSON decode (400 on failure), the kind defaulted from the endpoint (422
+// when the body names another), then Validate. The error's status is
+// readable through StatusCode. The gateway fronts with the same call, so a
+// fleet rejects a bad request exactly as a single node does.
+func DecodeJob(w http.ResponseWriter, r *http.Request, kind string, lim Limits) (JobSpec, error) {
+	var spec JobSpec
+	if err := decodeJSON(w, r, &spec); err != nil {
+		return spec, &apiError{status: http.StatusBadRequest, msg: err.Error()}
+	}
+	if spec.Kind == "" {
+		spec.Kind = kind
+	}
+	if spec.Kind != kind {
+		return spec, &apiError{status: 422, msg: fmt.Sprintf("kind %q does not match endpoint /v1/%s", spec.Kind, kind)}
+	}
+	return spec, spec.Validate(lim)
+}
+
+func (s *Server) handleJob(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.reg.Counter("server.http." + endpoint).Inc()
-		var spec JobSpec
-		if err := decodeJSON(w, r, &spec); err != nil {
-			s.writeError(w, endpoint, &apiError{status: http.StatusBadRequest, msg: err.Error()})
+		s.reg.Counter("server.http." + kind).Inc()
+		spec, err := DecodeJob(w, r, kind, s.cfg.Limits)
+		if err != nil {
+			s.writeError(w, kind, err)
 			return
 		}
-		if spec.Kind == "" {
-			spec.Kind = kind
-		}
-		if spec.Kind != kind {
-			s.writeError(w, endpoint, &apiError{status: 422, msg: fmt.Sprintf("kind %q does not match endpoint /v1/%s", spec.Kind, endpoint)})
-			return
-		}
-		if err := spec.Validate(s.cfg.Limits); err != nil {
-			s.writeError(w, endpoint, err)
-			return
-		}
-		ctx, cancel := s.requestCtx(r, spec)
+		ctx, cancel := s.requestCtxFrom(r.Context(), spec)
 		defer cancel()
 		res, cached, err := s.resolve(ctx, spec)
 		if err != nil {
-			s.writeError(w, endpoint, err)
+			s.writeError(w, kind, err)
 			return
 		}
-		if spec.Kind == KindEstimate {
-			if src := EstimateSource(res); src != "" {
-				w.Header().Set(EstimateHeader, src)
-			}
-		}
-		writeJSON(w, http.StatusOK, Envelope{Hash: spec.Hash(), Cached: cached, Result: res})
+		StampEstimate(w, kind, res)
+		WriteJSON(w, http.StatusOK, Envelope{Hash: spec.Hash(), Cached: cached, Result: res})
 	}
 }
 
@@ -714,12 +685,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// requestCtx derives the request's deadline context from the job's
+// requestCtxFrom derives the request's deadline context from the job's
 // timeout_ms (capped by Limits.MaxTimeout) or the server default.
-func (s *Server) requestCtx(r *http.Request, spec JobSpec) (context.Context, context.CancelFunc) {
-	return s.requestCtxFrom(r.Context(), spec)
-}
-
 func (s *Server) requestCtxFrom(parent context.Context, spec JobSpec) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultTimeout
 	if spec.TimeoutMS > 0 {
@@ -755,7 +722,7 @@ func (s *Server) writeError(w http.ResponseWriter, endpoint string, err error) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, status, map[string]any{"error": err.Error()})
+	WriteJSON(w, status, map[string]any{"error": err.Error()})
 }
 
 // decodeJSON decodes a bounded, strict JSON body.
@@ -768,9 +735,9 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
