@@ -58,20 +58,6 @@ func TestGliderAverseHitDemotes(t *testing.T) {
 	}
 }
 
-func TestHawkeyeDetrainToggle(t *testing.T) {
-	// Deliberately not parallel: this test flips the package-level detrain
-	// toggle, which would race with any concurrently running Hawkeye test.
-	SetHawkeyeDetrain(false)
-	defer SetHawkeyeDetrain(true)
-	p := NewHawkeye(1, 2)
-	lines := []cache.Line{{Valid: true, Tag: 1, PC: 5}, {Valid: true, Tag: 2, PC: 5}}
-	before := p.Debug().TrainNeg
-	p.Victim(0, 9, 3, 0, lines)
-	if p.Debug().TrainNeg != before {
-		t.Fatal("detraining fired while disabled")
-	}
-}
-
 func TestDRRIPLeaderSets(t *testing.T) {
 	t.Parallel()
 	p := NewDRRIP(128, 4, 1)

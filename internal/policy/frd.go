@@ -28,8 +28,9 @@ package policy
 // machinery reproduces Belady MIN access-for-access.
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"glider/internal/cache"
 	"glider/internal/obs"
@@ -147,9 +148,6 @@ const (
 	// demand accesses): reuses up to 4× cache capacity are observable,
 	// anything longer trains as beyond-window.
 	frdWindowFactor = 4
-	// frdSweepPeriod is the global cadence (demand accesses) of the
-	// beyond-window detraining sweep.
-	frdSweepPeriod = 4096
 	// frdMaxTrackedPCs bounds the per-PC error table.
 	frdMaxTrackedPCs = 4096
 )
@@ -228,27 +226,69 @@ func (r *frdRegressor) PredictReuse(pc, block uint64, dst []uint64) {
 
 // --- FRD policy -------------------------------------------------------------
 
-// frdSample is one sampler record: which PC touched a block in a sampled
-// set, when, and what the model predicted at that moment. Training recomputes
-// features at observation time — stepping weights against a stale snapshot
-// overcorrects badly when many same-context samples resolve back-to-back —
-// but the snapshot prediction is kept to score the quality metrics against
-// what the eviction logic actually used.
-type frdSample struct {
-	pred int16
-	pc   uint64
-	time uint64
-}
-
-type frdSampler struct {
-	last map[uint64]frdSample
-}
-
 // pcErrStat aggregates one PC's prediction errors (in buckets).
 type pcErrStat struct {
 	n      uint64
 	sumAbs uint64
 	hist   [9]uint64 // err clamped to [-4, +4]
+}
+
+// pcErrors is the per-PC training-error table behind FRD's and MSA's model
+// rows, capped at frdMaxTrackedPCs PCs.
+type pcErrors map[uint64]*pcErrStat
+
+// record adds one training error for pc and returns its magnitude.
+func (m pcErrors) record(pc uint64, err int) uint64 {
+	abs := uint64(err)
+	if err < 0 {
+		abs = uint64(-err)
+	}
+	s, ok := m[pc]
+	if !ok {
+		if len(m) >= frdMaxTrackedPCs {
+			return abs
+		}
+		s = &pcErrStat{}
+		m[pc] = s
+	}
+	s.n++
+	s.sumAbs += abs
+	s.hist[clampInt(err, -4, 4)+4]++
+	return abs
+}
+
+// rows returns the n most-trained PCs' rows, ordered by sample count
+// descending (PC ascending on ties). predicted, when non-nil, fills each
+// row's Predicted column.
+func (m pcErrors) rows(n int, predicted func(pc uint64) []int) []ModelRow {
+	pcs := make([]uint64, 0, len(m))
+	for pc := range m {
+		pcs = append(pcs, pc)
+	}
+	slices.SortFunc(pcs, func(a, b uint64) int {
+		if c := cmp.Compare(m[b].n, m[a].n); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	if n >= 0 && len(pcs) > n {
+		pcs = pcs[:n]
+	}
+	rows := make([]ModelRow, 0, len(pcs))
+	for _, pc := range pcs {
+		s := m[pc]
+		row := ModelRow{
+			PC:         pc,
+			Samples:    s.n,
+			MeanAbsErr: float64(s.sumAbs) / float64(s.n),
+			ErrHist:    append([]uint64(nil), s.hist[:]...),
+		}
+		if predicted != nil {
+			row.Predicted = predicted(pc)
+		}
+		rows = append(rows, row)
+	}
+	return rows
 }
 
 // FRDDebug exposes training and decision counters for tests and reports.
@@ -280,9 +320,9 @@ type FRD struct {
 	window     uint64
 	next       []uint64 // predicted absolute next-use time per line
 	model      ReusePredictor
-	learn      *frdRegressor // nil when an external model is injected
-	samplers   map[int]*frdSampler
-	pcErr      map[uint64]*pcErrStat
+	learn      *frdRegressor  // nil when an external model is injected
+	samples    sampler[int16] // snapshot: the toucher's predicted bucket
+	errs       pcErrors
 	debug      FRDDebug
 
 	// Observability (nil when disabled; see AttachObs).
@@ -318,8 +358,8 @@ func newFRDShell(sets, ways int) *FRD {
 		capacity: uint64(sets * ways),
 		window:   uint64(frdWindowFactor * sets * ways),
 		next:     make([]uint64, sets*ways),
-		samplers: make(map[int]*frdSampler),
-		pcErr:    make(map[uint64]*pcErrStat),
+		samples:  newSampler[int16](sets, ways),
+		errs:     make(pcErrors),
 	}
 }
 
@@ -361,63 +401,15 @@ func (p *FRD) FlushObs() {
 	}
 }
 
-// recordErr accumulates one training error globally and per PC.
-func (p *FRD) recordErr(pc uint64, err int) {
-	abs := err
-	if abs < 0 {
-		abs = -abs
-	}
-	p.debug.TrainEvents++
-	p.debug.SumAbsErr += uint64(abs)
-	p.debug.SumErr += int64(err)
-	p.obsTrain.Inc()
-	p.obsErr.Observe(float64(err))
-	s, ok := p.pcErr[pc]
-	if !ok {
-		if len(p.pcErr) >= frdMaxTrackedPCs {
-			return
-		}
-		s = &pcErrStat{}
-		p.pcErr[pc] = s
-	}
-	s.n++
-	s.sumAbs += uint64(abs)
-	s.hist[clampInt(err, -4, 4)+4]++
-}
-
 // TopModelRows implements ModelIntrospector: the n most-trained PCs'
 // error histograms and current predictions, ordered by sample count
 // descending (PC ascending on ties).
 func (p *FRD) TopModelRows(n int) []ModelRow {
-	pcs := make([]uint64, 0, len(p.pcErr))
-	for pc := range p.pcErr {
-		pcs = append(pcs, pc)
+	var predicted func(uint64) []int
+	if p.learn != nil {
+		predicted = func(pc uint64) []int { return []int{int(p.learn.features(pc).pred)} }
 	}
-	sort.Slice(pcs, func(i, j int) bool {
-		si, sj := p.pcErr[pcs[i]], p.pcErr[pcs[j]]
-		if si.n != sj.n {
-			return si.n > sj.n
-		}
-		return pcs[i] < pcs[j]
-	})
-	if n >= 0 && len(pcs) > n {
-		pcs = pcs[:n]
-	}
-	rows := make([]ModelRow, 0, len(pcs))
-	for _, pc := range pcs {
-		s := p.pcErr[pc]
-		row := ModelRow{
-			PC:         pc,
-			Samples:    s.n,
-			MeanAbsErr: float64(s.sumAbs) / float64(s.n),
-			ErrHist:    append([]uint64(nil), s.hist[:]...),
-		}
-		if p.learn != nil {
-			row.Predicted = []int{int(p.learn.features(pc).pred)}
-		}
-		rows = append(rows, row)
-	}
-	return rows
+	return p.errs.rows(n, predicted)
 }
 
 // PredictFriendly implements the friendly/averse predictor interface: an
@@ -484,60 +476,46 @@ func (p *FRD) Update(set, way int, pc, block uint64, core uint8, hit bool, kind 
 		p.next[set*p.ways+way] = satAdd(p.clock, dist)
 	}
 	p.clock++
-	if p.learn != nil && p.clock%frdSweepPeriod == 0 {
+	if p.learn != nil && p.clock%sweepPeriod == 0 {
 		p.sweep()
 	}
 }
 
 // trainSampled records this access in the set's sampler and, when the block
-// was seen before, trains the regressor on the observed reuse distance.
+// was seen before, trains the regressor on the observed reuse distance. The
+// snapshot prediction scores the quality metrics against what the eviction
+// logic actually used, but training recomputes features at observation
+// time: stepping weights against a stale snapshot overcorrects badly when
+// many same-context samples resolve back-to-back.
 func (p *FRD) trainSampled(set int, pc, block uint64) {
-	s, ok := p.samplers[set]
-	if !ok {
-		s = &frdSampler{last: make(map[uint64]frdSample, frdWindowFactor*p.ways)}
-		p.samplers[set] = s
-	}
-	if prev, ok := s.last[block]; ok {
-		target := reuseBucket(p.clock - prev.time)
-		p.recordErr(prev.pc, target-int(prev.pred))
-		p.learn.train(p.learn.features(prev.pc), target)
-		p.learn.observe(prev.pc, uint8(target))
-	}
-	s.last[block] = frdSample{pred: p.learn.features(pc).pred, pc: pc, time: p.clock}
+	p.samples.touch(set, block, func(prev sample[int16], ok bool) sample[int16] {
+		if ok {
+			target := reuseBucket(p.clock - prev.time)
+			err := target - int(prev.snap)
+			p.debug.TrainEvents++
+			p.debug.SumAbsErr += p.errs.record(prev.pc, err)
+			p.debug.SumErr += int64(err)
+			p.obsTrain.Inc()
+			p.obsErr.Observe(float64(err))
+			p.learn.train(p.learn.features(prev.pc), target)
+			p.learn.observe(prev.pc, uint8(target))
+		}
+		return sample[int16]{snap: p.learn.features(pc).pred, pc: pc, time: p.clock}
+	})
 }
 
 // sweep detrains sampler records whose blocks were never re-accessed within
 // the window: their true reuse distance is "beyond window", so they train
-// toward one bucket past it. Like Glider's detrain sweep, iteration is
-// sorted — regression updates are order-sensitive, and map-range order here
-// would make whole simulations nondeterministic.
+// toward one bucket past it.
 func (p *FRD) sweep() {
 	beyond := reuseBucket(p.window) + 1
 	if beyond > reuseMaxBucket {
 		beyond = reuseMaxBucket
 	}
-	sets := make([]int, 0, len(p.samplers))
-	for set := range p.samplers {
-		sets = append(sets, set)
-	}
-	sort.Ints(sets)
-	var expired []uint64
-	for _, set := range sets {
-		s := p.samplers[set]
-		expired = expired[:0]
-		for b, e := range s.last {
-			if p.clock-e.time > p.window {
-				expired = append(expired, b)
-			}
-		}
-		sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
-		for _, b := range expired {
-			e := s.last[b]
-			p.learn.train(p.learn.features(e.pc), beyond)
-			p.learn.observe(e.pc, uint8(beyond))
-			p.debug.Expiries++
-			p.obsExpire.Inc()
-			delete(s.last, b)
-		}
-	}
+	p.samples.expire(p.window, func(int) uint64 { return p.clock }, func(e sample[int16]) {
+		p.learn.train(p.learn.features(e.pc), beyond)
+		p.learn.observe(e.pc, uint8(beyond))
+		p.debug.Expiries++
+		p.obsExpire.Inc()
+	})
 }

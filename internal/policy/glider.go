@@ -1,12 +1,9 @@
 package policy
 
 import (
-	"sort"
-
 	"glider/internal/cache"
 	gl "glider/internal/glider"
 	"glider/internal/obs"
-	"glider/internal/opt"
 	"glider/internal/trace"
 )
 
@@ -15,43 +12,18 @@ import (
 // per-PC counters replaced by the ISVM predictor over the unordered PC
 // History Register (see the glider package).
 
-// gliderSample remembers what the predictor saw when a block was last
-// touched, so OPTgen's later verdict can train the right feature vector.
-type gliderSample struct {
-	pc      uint64
-	history []uint64
-	time    uint64
-}
-
-// gliderSampler is the per-sampled-set training state.
-type gliderSampler struct {
-	optgen *opt.OPTgen
-	last   map[uint64]gliderSample
-}
-
-func newGliderSampler(ways int) *gliderSampler {
-	return &gliderSampler{
-		optgen: opt.NewOPTgen(ways, optgenWindowFactor*ways),
-		last:   make(map[uint64]gliderSample, optgenWindowFactor*ways),
-	}
-}
-
 // Glider is the Glider replacement policy.
 type Glider struct {
-	ways      int
 	state     rrpvState
 	predictor *gl.Predictor
-	samplers  map[int]*gliderSampler
-	accesses  uint64
+	sampler   optSampler[[]uint64] // snapshot: the PCHR the toucher saw
 
 	// Observability (nil when disabled; see AttachObs).
-	obsSum         *obs.Histogram
-	obsClass       *obs.Vec
-	obsTrainPos    *obs.Counter
-	obsTrainNeg    *obs.Counter
-	obsOptVerdicts *obs.Vec
-	obsOptOcc      *obs.Histogram
-	sink           obs.Sink
+	obsSum      *obs.Histogram
+	obsClass    *obs.Vec
+	obsTrainPos *obs.Counter
+	obsTrainNeg *obs.Counter
+	sink        obs.Sink
 }
 
 // NewGlider builds a Glider policy with the paper's default predictor
@@ -64,10 +36,9 @@ func NewGlider(sets, ways int) *Glider {
 // configuration (used by the ablation benchmarks).
 func NewGliderWithConfig(sets, ways int, cfg gl.Config) *Glider {
 	return &Glider{
-		ways:      ways,
 		state:     newRRPVState(sets, ways),
 		predictor: gl.NewPredictor(cfg),
-		samplers:  make(map[int]*gliderSampler),
+		sampler:   newOptSampler[[]uint64](sets, ways),
 	}
 }
 
@@ -90,12 +61,8 @@ func (p *Glider) AttachObs(reg *obs.Registry, sink obs.Sink) {
 	p.obsClass = reg.Vec("glider.predict.class", 3, gl.Averse.String(), gl.FriendlyLowConfidence.String(), gl.Friendly.String())
 	p.obsTrainPos = reg.Counter("glider.train.pos")
 	p.obsTrainNeg = reg.Counter("glider.train.neg")
-	p.obsOptVerdicts = reg.Vec("glider.optgen.verdict", len(opt.VerdictLabels), opt.VerdictLabels...)
-	p.obsOptOcc = reg.Histogram("glider.optgen.utilization", obs.LinearBuckets(0.1, 0.1, 10))
+	p.sampler.attachObs(reg, "glider")
 	p.sink = sink
-	for _, s := range p.samplers {
-		s.optgen.AttachObs(p.obsOptVerdicts, p.obsOptOcc)
-	}
 }
 
 // FlushObs implements obs.Flusher: emits the ISVM weight distribution and
@@ -120,35 +87,10 @@ func (p *Glider) FlushObs() {
 	}
 }
 
-func (p *Glider) sampled(set int) *gliderSampler {
-	if set%samplerStride != 0 {
-		return nil
-	}
-	s, ok := p.samplers[set]
-	if !ok {
-		s = newGliderSampler(p.ways)
-		s.optgen.AttachObs(p.obsOptVerdicts, p.obsOptOcc)
-		p.samplers[set] = s
-	}
-	return s
-}
-
 // Victim implements cache.Policy: averse lines (RRPV 7) first; otherwise
-// the oldest friendly line, detraining the features that inserted it.
+// the oldest friendly line.
 func (p *Glider) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
-	for w := range lines {
-		if p.state.rrpv[set][w] >= maxRRPV {
-			return w
-		}
-	}
-	victim, oldest := 0, uint8(0)
-	for w := range lines {
-		if p.state.rrpv[set][w] >= oldest {
-			oldest = p.state.rrpv[set][w]
-			victim = w
-		}
-	}
-	return victim
+	return p.state.scan(set)
 }
 
 // Update implements cache.Policy.
@@ -163,56 +105,18 @@ func (p *Glider) Update(set, way int, pc, block uint64, core uint8, hit bool, ki
 	// Feature for this access: the PCHR contents *before* observing pc.
 	history := p.predictor.History(int(core))
 
-	// Train on sampled sets from OPTgen's reconstruction of MIN.
-	if s := p.sampled(set); s != nil {
-		switch s.optgen.Access(block) {
-		case opt.VerdictHit:
-			if prev, ok := s.last[block]; ok {
-				p.predictor.Train(prev.pc, prev.history, true)
-				p.obsTrainPos.Inc()
-			}
-		case opt.VerdictMiss, opt.VerdictExpired:
-			if prev, ok := s.last[block]; ok {
-				p.predictor.Train(prev.pc, prev.history, false)
-				p.obsTrainNeg.Inc()
-			}
+	// Train on sampled sets from OPTgen's reconstruction of MIN. ISVM
+	// training is order-sensitive (the adaptive threshold and
+	// sum-dependent skips make Train calls non-commutative), which is why
+	// the sampler expires records in sorted order.
+	p.sampler.access(set, pc, block, history, func(prev sample[[]uint64], cached bool) {
+		p.predictor.Train(prev.pc, prev.snap, cached)
+		if cached {
+			p.obsTrainPos.Inc()
+		} else {
+			p.obsTrainNeg.Inc()
 		}
-		s.last[block] = gliderSample{pc: pc, history: history, time: s.optgen.Clock()}
-	}
-	p.accesses++
-	if p.accesses%sweepPeriod == 0 {
-		// Detrain entries whose blocks were never re-accessed within the
-		// window (never-reused lines are cache-averse). Swept on a global
-		// cadence; see sweepPeriod. ISVM training is order-sensitive (the
-		// adaptive threshold and sum-dependent skips make Train calls
-		// non-commutative), so the sweep iterates samplers and expired
-		// blocks in sorted order — map-range order here would make whole
-		// simulations nondeterministic.
-		window := uint64(optgenWindowFactor * p.ways)
-		sets := make([]int, 0, len(p.samplers))
-		for set := range p.samplers {
-			sets = append(sets, set)
-		}
-		sort.Ints(sets)
-		var expired []uint64
-		for _, set := range sets {
-			s := p.samplers[set]
-			now := s.optgen.Clock()
-			expired = expired[:0]
-			for b, e := range s.last {
-				if now-e.time > window {
-					expired = append(expired, b)
-				}
-			}
-			sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
-			for _, b := range expired {
-				e := s.last[b]
-				p.predictor.Train(e.pc, e.history, false)
-				p.obsTrainNeg.Inc()
-				delete(s.last, b)
-			}
-		}
-	}
+	})
 
 	sum, class := p.predictor.Predict(pc, history)
 	if p.obsSum != nil {

@@ -147,3 +147,24 @@ func TestVictimPrefersAverse(t *testing.T) {
 		t.Fatalf("victim = %d, want the RRPV-7 way", got)
 	}
 }
+
+// TestVictimDetrainsFriendlyOnce pins the other Victim path: with no way at
+// RRPV 7, the oldest friendly line is evicted and its inserting PC is
+// detrained exactly once, on that line's own core.
+func TestVictimDetrainsFriendlyOnce(t *testing.T) {
+	p := NewHawkeye(1, 2)
+	lines := []cache.Line{{Valid: true, Tag: 1, PC: 9, Core: 1}, {Valid: true, Tag: 2, PC: 5, Core: 1}}
+	p.state.rrpv[0][0] = 2
+	p.state.rrpv[0][1] = 3
+	i := p.counterIndex(lines[1].PC, lines[1].Core)
+	before, counter := p.Debug().TrainNeg, p.counters[i]
+	if got := p.Victim(0, 1, 3, 0, lines); got != 1 {
+		t.Fatalf("victim = %d, want the highest-RRPV way", got)
+	}
+	if got := p.Debug().TrainNeg; got != before+1 {
+		t.Fatalf("TrainNeg = %d, want %d", got, before+1)
+	}
+	if got := p.counters[i]; got != counter-1 {
+		t.Fatalf("counter = %d, want %d", got, counter-1)
+	}
+}

@@ -24,8 +24,6 @@ package policy
 // injects any ReusePredictor (the oracle seam for the property tests).
 
 import (
-	"sort"
-
 	"glider/internal/cache"
 	"glider/internal/obs"
 	"glider/internal/trace"
@@ -146,17 +144,9 @@ func (d MSADebug) TopKAccuracy() float64 {
 	return float64(d.TopKHits) / float64(d.TrainEvents)
 }
 
-// msaSample is one sampler record: the k buckets predicted for a block when
-// it was last touched in a sampled set.
-type msaSample struct {
-	pred [msaMaxSteps]uint8
-	pc   uint64
-	time uint64
-}
-
-type msaSampler struct {
-	last map[uint64]msaSample
-}
+// msaPred is the k step buckets predicted for a block when it was last
+// touched in a sampled set.
+type msaPred [msaMaxSteps]uint8
 
 // MSA is the multi-step-ahead eviction policy.
 type MSA struct {
@@ -167,9 +157,9 @@ type MSA struct {
 	window     uint64
 	rank       []uint64 // sets × ways × k predicted absolute reuse times
 	model      ReusePredictor
-	learn      *msaModel // nil when an external model is injected
-	samplers   map[int]*msaSampler
-	pcErr      map[uint64]*pcErrStat
+	learn      *msaModel        // nil when an external model is injected
+	samples    sampler[msaPred] // snapshot: the toucher's k predicted buckets
+	errs       pcErrors
 	debug      MSADebug
 
 	// Observability (nil when disabled; see AttachObs).
@@ -212,8 +202,8 @@ func newMSAShell(sets, ways, k int) *MSA {
 		capacity: uint64(sets * ways),
 		window:   uint64(frdWindowFactor * sets * ways),
 		rank:     make([]uint64, sets*ways*k),
-		samplers: make(map[int]*msaSampler),
-		pcErr:    make(map[uint64]*pcErrStat),
+		samples:  newSampler[msaPred](sets, ways),
+		errs:     make(pcErrors),
 	}
 }
 
@@ -262,40 +252,19 @@ func (p *MSA) FlushObs() {
 // TopModelRows implements ModelIntrospector (see FRD.TopModelRows); the
 // Predicted column holds all k step buckets.
 func (p *MSA) TopModelRows(n int) []ModelRow {
-	pcs := make([]uint64, 0, len(p.pcErr))
-	for pc := range p.pcErr {
-		pcs = append(pcs, pc)
-	}
-	sort.Slice(pcs, func(i, j int) bool {
-		si, sj := p.pcErr[pcs[i]], p.pcErr[pcs[j]]
-		if si.n != sj.n {
-			return si.n > sj.n
-		}
-		return pcs[i] < pcs[j]
-	})
-	if n >= 0 && len(pcs) > n {
-		pcs = pcs[:n]
-	}
-	rows := make([]ModelRow, 0, len(pcs))
-	for _, pc := range pcs {
-		s := p.pcErr[pc]
-		row := ModelRow{
-			PC:         pc,
-			Samples:    s.n,
-			MeanAbsErr: float64(s.sumAbs) / float64(s.n),
-			ErrHist:    append([]uint64(nil), s.hist[:]...),
-		}
-		if p.learn != nil {
+	var predicted func(uint64) []int
+	if p.learn != nil {
+		predicted = func(pc uint64) []int {
 			var bk [msaMaxSteps]uint8
 			p.learn.predictBuckets(pc, bk[:p.k])
-			row.Predicted = make([]int, p.k)
-			for j := 0; j < p.k; j++ {
-				row.Predicted[j] = int(bk[j])
+			out := make([]int, p.k)
+			for j := range out {
+				out[j] = int(bk[j])
 			}
+			return out
 		}
-		rows = append(rows, row)
 	}
-	return rows
+	return p.errs.rows(n, predicted)
 }
 
 // PredictFriendly reports whether pc's predicted first reuse fits inside
@@ -399,94 +368,49 @@ func (p *MSA) Update(set, way int, pc, block uint64, core uint8, hit bool, kind 
 		}
 	}
 	p.clock++
-	if p.learn != nil && p.clock%frdSweepPeriod == 0 {
+	if p.learn != nil && p.clock%sweepPeriod == 0 {
 		p.sweep()
 	}
-}
-
-// recordErr accumulates one step-1 training error and the top-k hit bit.
-func (p *MSA) recordErr(pc uint64, err int, topkHit bool) {
-	abs := err
-	if abs < 0 {
-		abs = -abs
-	}
-	p.debug.TrainEvents++
-	p.debug.SumAbsErr += uint64(abs)
-	p.debug.SumErr += int64(err)
-	if topkHit {
-		p.debug.TopKHits++
-		p.obsTopK.Inc()
-	}
-	p.obsTrain.Inc()
-	p.obsErr.Observe(float64(err))
-	s, ok := p.pcErr[pc]
-	if !ok {
-		if len(p.pcErr) >= frdMaxTrackedPCs {
-			return
-		}
-		s = &pcErrStat{}
-		p.pcErr[pc] = s
-	}
-	s.n++
-	s.sumAbs += uint64(abs)
-	s.hist[clampInt(err, -4, 4)+4]++
 }
 
 // trainSampled records this access in the set's sampler and, when the block
 // was seen before, scores the stored k-step snapshot against the observed
 // distance and feeds the observation to the model.
 func (p *MSA) trainSampled(set int, pc, block uint64) {
-	s, ok := p.samplers[set]
-	if !ok {
-		s = &msaSampler{last: make(map[uint64]msaSample, frdWindowFactor*p.ways)}
-		p.samplers[set] = s
-	}
-	if prev, ok := s.last[block]; ok {
-		target := reuseBucket(p.clock - prev.time)
-		hit := false
-		for j := 0; j < p.k; j++ {
-			d := target - int(prev.pred[j])
-			if d >= -1 && d <= 1 {
-				hit = true
-				break
+	p.samples.touch(set, block, func(prev sample[msaPred], ok bool) sample[msaPred] {
+		if ok {
+			target := reuseBucket(p.clock - prev.time)
+			err := target - int(prev.snap[0])
+			p.debug.TrainEvents++
+			p.debug.SumAbsErr += p.errs.record(prev.pc, err)
+			p.debug.SumErr += int64(err)
+			for j := 0; j < p.k; j++ {
+				if d := target - int(prev.snap[j]); d >= -1 && d <= 1 {
+					p.debug.TopKHits++
+					p.obsTopK.Inc()
+					break
+				}
 			}
+			p.obsTrain.Inc()
+			p.obsErr.Observe(float64(err))
+			p.learn.observe(prev.pc, uint8(target))
 		}
-		p.recordErr(prev.pc, target-int(prev.pred[0]), hit)
-		p.learn.observe(prev.pc, uint8(target))
-	}
-	e := msaSample{pc: pc, time: p.clock}
-	p.learn.predictBuckets(pc, e.pred[:p.k])
-	s.last[block] = e
+		e := sample[msaPred]{pc: pc, time: p.clock}
+		p.learn.predictBuckets(pc, e.snap[:p.k])
+		return e
+	})
 }
 
 // sweep expires sampler records beyond the window, feeding a beyond-window
-// observation for each (sorted iteration; see FRD.sweep for why).
+// observation for each.
 func (p *MSA) sweep() {
 	beyond := reuseBucket(p.window) + 1
 	if beyond > reuseMaxBucket {
 		beyond = reuseMaxBucket
 	}
-	sets := make([]int, 0, len(p.samplers))
-	for set := range p.samplers {
-		sets = append(sets, set)
-	}
-	sort.Ints(sets)
-	var expired []uint64
-	for _, set := range sets {
-		s := p.samplers[set]
-		expired = expired[:0]
-		for b, e := range s.last {
-			if p.clock-e.time > p.window {
-				expired = append(expired, b)
-			}
-		}
-		sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
-		for _, b := range expired {
-			e := s.last[b]
-			p.learn.observe(e.pc, uint8(beyond))
-			p.debug.Expiries++
-			p.obsExpire.Inc()
-			delete(s.last, b)
-		}
-	}
+	p.samples.expire(p.window, func(int) uint64 { return p.clock }, func(e sample[msaPred]) {
+		p.learn.observe(e.pc, uint8(beyond))
+		p.debug.Expiries++
+		p.obsExpire.Inc()
+	})
 }

@@ -46,6 +46,21 @@ func (s *rrpvState) victim(set int) int {
 	}
 }
 
+// scan returns the first way at RRPV max, else the last way holding the
+// highest RRPV, without aging — the Hawkeye/Glider victim choice.
+func (s *rrpvState) scan(set int) int {
+	victim, oldest := 0, uint8(0)
+	for w, r := range s.rrpv[set] {
+		if r >= maxRRPV {
+			return w
+		}
+		if r >= oldest {
+			victim, oldest = w, r
+		}
+	}
+	return victim
+}
+
 // --- SRRIP -----------------------------------------------------------------
 
 // SRRIP is Static RRIP: hits promote to RRPV 0, fills insert at RRPV max-1.
