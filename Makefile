@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-sim bench-smoke vet ci cover metrics-smoke fuzz-smoke server-smoke gateway-smoke estimate-smoke ledger-smoke soak
+.PHONY: build test race bench-smoke vet ci cover metrics-smoke fuzz-smoke server-smoke gateway-smoke ingest-smoke estimate-smoke ledger-smoke soak
 
 build:
 	$(GO) build ./...
@@ -18,22 +18,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs the training/kernel benchmarks at full fidelity and records
-# the results as JSON in BENCH_train.json (see cmd/benchjson). The raw
-# benchmark stream still prints to the terminal.
-bench: bench-sim
-	$(GO) test -run XXX -bench . -benchmem ./internal/ml/ ./internal/offline/ | $(GO) run ./cmd/benchjson -o BENCH_train.json
-
-# bench-sim runs the simulator-side benchmarks (full sweeps plus the
-# hierarchy/trace-generation microbenchmarks) and records BENCH_sim.json —
-# the evidence file for hot-path optimization claims.
-bench-sim:
-	$(GO) test -run XXX -bench 'BenchmarkRunTable2Parallel|BenchmarkFig11Sweep|BenchmarkSweepPruned|BenchmarkSweepExhaustive|BenchmarkHierarchyAccess|BenchmarkTraceGenerate' -benchmem -timeout 60m . > /tmp/bench_sim_root.txt
-	$(GO) test -run XXX -bench 'BenchmarkFRDAccess|BenchmarkMSAAccess|BenchmarkHawkeyeAccess|BenchmarkGliderAccess' -benchmem ./internal/policy/ > /tmp/bench_sim_policy.txt
-	cat /tmp/bench_sim_root.txt /tmp/bench_sim_policy.txt | $(GO) run ./cmd/benchjson -o BENCH_sim.json
-
-# bench-smoke compiles and runs every benchmark exactly once — a fast CI
-# check that the benchmarks themselves still work, with no timing claims.
+# bench-smoke compiles and runs every package microbenchmark exactly once —
+# a fast CI check that the benchmarks themselves still work, with no timing
+# claims. Performance numbers come from perfbench: bash perfbench/run.sh.
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
 
@@ -88,13 +75,13 @@ ingest-smoke:
 	$(GO) test -race -count 1 -run 'Ingest|SpecSpellings|Zoo|CatalogListsSchemes|GatewayCatalogProxiesSchemes' ./internal/server/ ./internal/gateway/ ./internal/experiments/
 
 # estimate-smoke runs the learned proxy simulator's correctness wall under
-# the race detector: the surrogate package (training determinism, persisted
-# round trips, the confidence gate, the bound-coverage regression wall) plus
-# the sweep-pruning differential — train a tiny model, prune a sweep with
-# it, and demand the frontier matches the exhaustive sweep's exactly.
+# the race detector: the surrogate package (training determinism, the
+# confidence gate, the bound-coverage regression wall) plus the
+# sweep-pruning differential — train a tiny model, prune a sweep with it,
+# and demand the frontier matches the exhaustive sweep's exactly.
 estimate-smoke:
 	$(GO) test -race -count 1 ./internal/estimate/...
-	$(GO) test -race -count 1 -run 'TestSweepPruned|TestBenchModel|TestEstimate' ./internal/experiments/
+	$(GO) test -race -count 1 -run 'TestSweepPruned|TestEstimate' ./internal/experiments/
 
 # ledger-smoke runs the tamper-evidence wall under the race detector: the
 # ledger package itself (canonical JSON, Merkle batches, chain links, crash

@@ -21,10 +21,6 @@ import (
 	"glider/internal/trace"
 )
 
-// SchemaVersion identifies the feature layout. Bump it when the vector
-// changes so persisted models can't be silently applied to the wrong schema.
-const SchemaVersion = 1
-
 // LLCBlocks is the simulated last-level cache capacity in 64-byte blocks
 // (2 MiB, Table 1) — the capacity the reuse-capture features are anchored
 // on.
@@ -38,7 +34,7 @@ const histBuckets = 16
 // hottest topPCShare PCs.
 const topPCShare = 8
 
-// FeatureDim is the length of the schema-1 feature vector.
+// FeatureDim is the length of the feature vector.
 const FeatureDim = 2 + histBuckets + 3 + 5 + 1
 
 // featureWindow caps the prefix the reuse/PC statistics are computed on.
@@ -48,29 +44,7 @@ const FeatureDim = 2 + histBuckets + 3 + 5 + 1
 // just as well. log2_accesses still reflects the full requested length.
 const featureWindow = 131072
 
-// FeatureNames returns the schema-1 feature names, index-aligned with
-// Features output. The slice is freshly allocated.
-func FeatureNames() []string {
-	names := []string{"log2_accesses", "cold_frac"}
-	for i := 0; i < histBuckets; i++ {
-		names = append(names, "reuse_hist_"+itoa2(i))
-	}
-	names = append(names,
-		"captured_llc_div8", "captured_llc", "captured_llc_x4",
-		"pc_count_frac", "pc_friendly_mass", "pc_averse_mass", "pc_cold_mass", "pc_top8_share",
-		"mean_log_dist",
-	)
-	return names
-}
-
-func itoa2(i int) string {
-	if i < 10 {
-		return string([]byte{'0', byte('0' + i)})
-	}
-	return string([]byte{byte('0' + i/10), byte('0' + i%10)})
-}
-
-// Features computes the schema-1 feature vector of a trace: reuse-distance
+// Features computes the feature vector of a trace: reuse-distance
 // histogram and capture fractions (the quantities the workload generators
 // are calibrated against), per-PC reuse aggregates relative to the LLC
 // capacity, and PC-concentration statistics. The computation is

@@ -1,9 +1,7 @@
 package estimate
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"glider/internal/ml"
 )
@@ -48,18 +46,11 @@ type Head struct {
 	// stable ones — so the local bound adds the floor of the calibration
 	// point it leans on.
 	NoiseMiss, NoiseIPC []float64
-	// Samples counts the fit rows behind the head.
-	Samples int
 }
 
 // Estimator is the trained surrogate: shared feature standardization and
-// training hull, plus one Head per policy. All fields are exported and
-// plain data, so the model persists exactly via Save/Load.
+// training hull, plus one Head per policy.
 type Estimator struct {
-	// Schema is the feature-schema version the model was trained on.
-	Schema int
-	// Names echoes FeatureNames at training time (a layout check on load).
-	Names []string
 	// Mean and Scale standardize raw features (computed on the fit split;
 	// Scale is 1 for constant features).
 	Mean, Scale []float64
@@ -199,59 +190,6 @@ func (e *Estimator) localBounds(h *Head, z []float64, missZ, ipcZ float64) (qMis
 	qMiss = math.Max(e.Inflate*(h.CalibMiss[nn]+noiseMiss+dist*h.MeanMiss)+abs(missZ-missC), e.MinMissBound)
 	qIPC = math.Max(e.Inflate*(h.CalibIPC[nn]+noiseIPC+dist*h.MeanIPC)+abs(ipcZ-ipcC), e.MinIPCBound)
 	return qMiss, qIPC
-}
-
-// Policies returns the trained policy names, sorted.
-func (e *Estimator) Policies() []string {
-	out := make([]string, 0, len(e.Heads))
-	for p := range e.Heads {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Validate checks structural consistency (schema version, aligned vector
-// lengths, complete heads). Load calls it; Train output passes by
-// construction.
-func (e *Estimator) Validate() error {
-	if e.Schema != SchemaVersion {
-		return fmt.Errorf("estimate: model schema %d, want %d", e.Schema, SchemaVersion)
-	}
-	d := len(e.Names)
-	if d != FeatureDim {
-		return fmt.Errorf("estimate: model has %d features, schema %d has %d", d, SchemaVersion, FeatureDim)
-	}
-	for name, s := range map[string]int{"mean": len(e.Mean), "scale": len(e.Scale), "min": len(e.Min), "max": len(e.Max)} {
-		if s != d {
-			return fmt.Errorf("estimate: %s vector has %d entries, want %d", name, s, d)
-		}
-	}
-	if len(e.Heads) == 0 {
-		return fmt.Errorf("estimate: model has no policy heads")
-	}
-	for name, rows := range map[string][][]float64{"anchor": e.AnchorFeats, "calibration": e.CalibFeats} {
-		for _, row := range rows {
-			if len(row) != d {
-				return fmt.Errorf("estimate: %s feature row has %d entries, want %d", name, len(row), d)
-			}
-		}
-	}
-	for p, h := range e.Heads {
-		if h == nil || h.Miss == nil || h.IPC == nil {
-			return fmt.Errorf("estimate: policy %q head is incomplete", p)
-		}
-		if h.Miss.In() != d || h.IPC.In() != d {
-			return fmt.Errorf("estimate: policy %q head dimension mismatch", p)
-		}
-		if h.QMiss <= 0 || h.QIPC <= 0 {
-			return fmt.Errorf("estimate: policy %q has non-positive bounds", p)
-		}
-		if len(h.AnchorMiss) != len(e.AnchorFeats) || len(h.AnchorIPC) != len(e.AnchorFeats) {
-			return fmt.Errorf("estimate: policy %q anchor values misaligned with anchor features", p)
-		}
-	}
-	return nil
 }
 
 // inHull reports whether every raw feature lies inside the training hull

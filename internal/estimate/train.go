@@ -237,8 +237,6 @@ func Train(ctx context.Context, cfg TrainConfig) (*Estimator, Report, error) {
 	}
 
 	est := &Estimator{
-		Schema:       SchemaVersion,
-		Names:        FeatureNames(),
 		Slack:        cfg.Slack,
 		AbsSlack:     cfg.AbsSlack,
 		Inflate:      cfg.Inflate,
@@ -304,7 +302,7 @@ func Train(ctx context.Context, cfg TrainConfig) (*Estimator, Report, error) {
 
 		ev := PolicyEval{Policy: pol, FitSamples: len(fit), CalibSamples: len(calib)}
 		head := &Head{
-			Miss: missM, IPC: ipcM, Samples: len(fit),
+			Miss: missM, IPC: ipcM,
 			AnchorMiss: make([]float64, len(anchor)),
 			AnchorIPC:  make([]float64, len(anchor)),
 			CalibMiss:  make([]float64, len(calib)),

@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"glider/internal/workload"
 )
 
 // The experiment harness is exercised end-to-end at Quick scale: every
@@ -111,6 +115,56 @@ func TestFig9(t *testing.T) {
 				t.Fatalf("accuracy out of range in %+v", r)
 			}
 		}
+	}
+}
+
+// TestFig10 checks the online-accuracy study's shape rather than paper
+// values: at this trace length most post-warmup LLC accesses have no next
+// use inside the trace, so accuracies sit far below the paper-scale ones.
+func TestFig10(t *testing.T) {
+	t.Parallel()
+	cfg := Quick()
+	cfg.Accesses = 20000
+	var runs []Fig10
+	for _, workers := range []int{1, 4} {
+		cfg.Workers = workers
+		f, err := RunFig10(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, f)
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatalf("workers=1 and workers=4 differ:\n%+v\n%+v", runs[0], runs[1])
+	}
+	f := runs[0]
+	specs := workload.OnlineAccuracySet()
+	if len(f.Rows) != len(specs)+1 {
+		t.Fatalf("got %d rows, want %d benchmarks + average", len(f.Rows), len(specs))
+	}
+	var sumHawkeye, sumGlider float64
+	for i, spec := range specs {
+		r := f.Rows[i]
+		if r.Name != spec.Name {
+			t.Fatalf("row %d is %q, want %q", i, r.Name, spec.Name)
+		}
+		for _, acc := range []float64{r.Hawkeye, r.Glider} {
+			if acc < 0 || acc > 1 {
+				t.Fatalf("accuracy out of range in %+v", r)
+			}
+		}
+		sumHawkeye += r.Hawkeye
+		sumGlider += r.Glider
+	}
+	avg := f.Rows[len(specs)]
+	n := float64(len(specs))
+	if avg.Name != "average" || math.Abs(avg.Hawkeye-sumHawkeye/n) > 1e-12 || math.Abs(avg.Glider-sumGlider/n) > 1e-12 {
+		t.Fatalf("average row %+v, want mean hawkeye %v glider %v", avg, sumHawkeye/n, sumGlider/n)
+	}
+	var buf bytes.Buffer
+	f.Render(&buf)
+	if !strings.Contains(buf.String(), "Figure 10") {
+		t.Fatal("render missing title")
 	}
 }
 
@@ -308,27 +362,6 @@ func TestExtensionQuantization(t *testing.T) {
 	q.Render(&buf)
 	if !strings.Contains(buf.String(), "int8") {
 		t.Fatal("render missing header")
-	}
-}
-
-func TestFig11MultiSeedVariance(t *testing.T) {
-	t.Parallel()
-	cfg := Quick()
-	cfg.Seeds = 2
-	cfg.Accesses = 60000
-	f, err := RunFig11(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range f.Rows[:3] {
-		if r.MissReductionStd == nil {
-			t.Fatal("multi-seed run missing variance estimates")
-		}
-		for _, pol := range f.Policies {
-			if r.MissReductionStd[pol] < 0 {
-				t.Fatalf("negative stddev for %s", pol)
-			}
-		}
 	}
 }
 

@@ -1,9 +1,7 @@
 package glider
 
 import (
-	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -235,44 +233,5 @@ func TestSumEmptyHistory(t *testing.T) {
 	p := NewPredictor(DefaultConfig(1))
 	if p.Sum(1, nil) != 0 {
 		t.Fatal("empty history should sum to 0")
-	}
-}
-
-func TestPredictorSaveLoadRoundTrip(t *testing.T) {
-	p := NewPredictor(DefaultConfig(2))
-	for i := 0; i < 300; i++ {
-		p.Train(5, []uint64{1, 2, 3}, true)
-		p.Train(6, []uint64{4, 5}, false)
-	}
-	p.Observe(0, 7)
-	p.Observe(1, 8)
-
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	q, err := LoadPredictor(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pc := range []uint64{5, 6} {
-		for _, hist := range [][]uint64{{1, 2, 3}, {4, 5}} {
-			if p.Sum(pc, hist) != q.Sum(pc, hist) {
-				t.Fatal("loaded predictor sums differ")
-			}
-		}
-	}
-	if p.TrainingThreshold() != q.TrainingThreshold() {
-		t.Fatal("threshold state not restored")
-	}
-	h0, h1 := q.History(0), q.History(1)
-	if len(h0) != 1 || h0[0] != 7 || len(h1) != 1 || h1[0] != 8 {
-		t.Fatalf("PCHRs not restored: %v %v", h0, h1)
-	}
-}
-
-func TestLoadPredictorRejectsGarbage(t *testing.T) {
-	if _, err := LoadPredictor(strings.NewReader("garbage")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }

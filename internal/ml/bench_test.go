@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// Microbenchmarks for the dense kernels and the LSTM hot path. `make bench`
-// runs these (and the offline training benchmarks) and records the results
-// in BENCH_train.json.
+// Microbenchmarks for the dense kernels and the LSTM hot path. They record
+// nothing; the repo's performance numbers come from perfbench.
 
 func benchSeq(vocab, n int) ([]int, []bool) {
 	r := rand.New(rand.NewSource(5))

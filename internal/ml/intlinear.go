@@ -11,11 +11,9 @@ import (
 //
 // with weights stored as int16 fixed-point values (symmetric quantization,
 // the same scheme quantizeTensor uses for the LSTM study). The quantized
-// weights are the model — training quantizes once and every prediction,
-// persistence round-trip, and calibration residual is computed against the
-// quantized weights, so deployment error is already inside the calibrated
-// bounds. Integer weights also make the model trivially portable: the
-// on-disk snapshot is exact, with no float-rounding ambiguity in W.
+// weights are the model — training quantizes once and every prediction and
+// calibration residual is computed against the quantized weights, so
+// deployment error is already inside the calibrated bounds.
 type IntLinear struct {
 	// W holds the quantized weights, one per input feature.
 	W []int16
@@ -35,9 +33,6 @@ func (m *IntLinear) Predict(x []float64) float64 {
 	}
 	return y
 }
-
-// In returns the model's input dimension.
-func (m *IntLinear) In() int { return len(m.W) }
 
 // intLinearBits is the quantization width: int16 symmetric, so weights land
 // in [-32767, 32767] and Scale = maxAbs/32767.

@@ -141,8 +141,8 @@ func Aggregate(events []Event) *Report {
 
 // policyFromKey extracts the grouping label from a simrunner job key: the
 // last "/"-separated segment that is neither a parameter ("seed=3") nor a
-// bare index ("7"), matching the repo's Key("<experiment>", ..., "<policy>",
-// "seed=N") conventions. Falls back to the whole key.
+// bare index ("7"), so Key("<experiment>", ..., "<policy>") and keys with
+// trailing parameters group alike. Falls back to the whole key.
 func policyFromKey(key string) string {
 	segs := strings.Split(key, "/")
 	for i := len(segs) - 1; i >= 0; i-- {

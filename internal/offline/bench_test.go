@@ -11,8 +11,7 @@ import (
 // BenchmarkTrainLSTM compares end-to-end epoch throughput of the serial
 // per-sequence trainer against the data-parallel minibatch trainer. The
 // batch16-workers4 case is the configuration the acceptance bar measures:
-// it must train ≥ 2× faster than serial. `make bench` records the numbers
-// in BENCH_train.json.
+// it must train ≥ 2× faster than serial.
 
 var (
 	benchOnce sync.Once

@@ -1,9 +1,10 @@
 package policy
 
-// Hot-path benchmarks for the reuse-distance policy family, recorded into
-// BENCH_sim.json by `make bench-sim`. The access mix (skewed reuse + scan)
-// exercises training, the sampler sweep, and the eviction loop together,
-// with hawkeye and glider alongside as the established baselines.
+// Hot-path microbenchmarks for the reuse-distance policy family (perfbench's
+// policy.<name>.ns_per_llc_access times every policy end to end). The
+// access mix (skewed reuse + scan) exercises training, the sampler sweep,
+// and the eviction loop together, with hawkeye and glider alongside as the
+// established baselines.
 
 import (
 	"testing"
