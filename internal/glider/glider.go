@@ -388,7 +388,8 @@ func (p *Predictor) Train(pc uint64, history []uint64, shouldCache bool) {
 	p.samples++
 	base := p.tableIndex(pc) * p.cfg.WeightsPerISVM
 	sum := 0
-	idx := make([]int, 0, len(history))
+	var buf [16]int // the PCHR is at most a few entries; longer ones spill
+	idx := buf[:0]
 	for _, h := range history {
 		i := base + p.weightIndex(h)
 		idx = append(idx, i)

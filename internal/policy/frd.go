@@ -324,6 +324,7 @@ type FRD struct {
 	samples    sampler[int16] // snapshot: the toucher's predicted bucket
 	errs       pcErrors
 	debug      FRDDebug
+	dist       [1]uint64 // PredictReuse buffer (see MSA.distBuf)
 
 	// Observability (nil when disabled; see AttachObs).
 	obsPred   *obs.Histogram
@@ -416,9 +417,8 @@ func (p *FRD) TopModelRows(n int) []ModelRow {
 // access is friendly when its predicted forward reuse distance fits inside
 // the cache capacity.
 func (p *FRD) PredictFriendly(pc uint64, core uint8) bool {
-	var d [1]uint64
-	p.model.PredictReuse(pc, 0, d[:])
-	return d[0] < p.capacity
+	p.model.PredictReuse(pc, 0, p.dist[:])
+	return p.dist[0] < p.capacity
 }
 
 // Victim implements cache.Policy with the MIN decision rule over predicted
@@ -427,9 +427,8 @@ func (p *FRD) PredictFriendly(pc uint64, core uint8) bool {
 // wrong and the line is presumed dead); bypass the incoming line when no
 // resident is predicted strictly further than it.
 func (p *FRD) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
-	var d [1]uint64
-	p.model.PredictReuse(pc, block, d[:])
-	furthest := satAdd(p.clock, d[0])
+	p.model.PredictReuse(pc, block, p.dist[:])
+	furthest := satAdd(p.clock, p.dist[0])
 	victim := cache.Bypass
 	base := set * p.ways
 	for w := range lines {
@@ -468,9 +467,8 @@ func (p *FRD) Update(set, way int, pc, block uint64, core uint8, hit bool, kind 
 		p.obsPred.Observe(float64(f.pred))
 		dist = bucketDist(int(f.pred))
 	} else {
-		var d [1]uint64
-		p.model.PredictReuse(pc, block, d[:])
-		dist = d[0]
+		p.model.PredictReuse(pc, block, p.dist[:])
+		dist = p.dist[0]
 	}
 	if way >= 0 {
 		p.next[set*p.ways+way] = satAdd(p.clock, dist)

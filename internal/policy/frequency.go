@@ -71,7 +71,15 @@ type LRFU struct {
 	crf    [][]float64
 	stamp  [][]uint64
 	clock  uint64
+
+	// decay[age] caches math.Pow(0.5, decayLambda*age) for ages below
+	// lrfuDecayCap, grown on demand and rebuilt if Lambda changes.
+	decay       []float64
+	decayLambda float64
 }
+
+// lrfuDecayCap bounds the decay table; older lines call math.Pow directly.
+const lrfuDecayCap = 1 << 16
 
 // NewLRFU builds an LRFU policy with the given λ (0.001 is a common
 // middle-ground setting).
@@ -93,8 +101,22 @@ func (p *LRFU) Name() string { return "lrfu" }
 
 // value returns the decayed CRF of a line at the current clock.
 func (p *LRFU) value(set, way int) float64 {
-	age := float64(p.clock - p.stamp[set][way])
-	return p.crf[set][way] * math.Pow(0.5, p.Lambda*age)
+	return p.crf[set][way] * p.decayAt(p.clock-p.stamp[set][way])
+}
+
+// decayAt returns math.Pow(0.5, Lambda·age), bit for bit, from the table
+// when age is below lrfuDecayCap.
+func (p *LRFU) decayAt(age uint64) float64 {
+	if age >= lrfuDecayCap {
+		return math.Pow(0.5, p.Lambda*float64(age))
+	}
+	if p.decayLambda != p.Lambda {
+		p.decay, p.decayLambda = p.decay[:0], p.Lambda
+	}
+	for uint64(len(p.decay)) <= age {
+		p.decay = append(p.decay, math.Pow(0.5, p.Lambda*float64(len(p.decay))))
+	}
+	return p.decay[age]
 }
 
 // Victim implements cache.Policy: evict the line with the smallest decayed

@@ -18,41 +18,43 @@ import (
 
 const mpppbFeatures = 8
 
+// mpppbFeatureVec is one access's per-feature weight-table indices.
+type mpppbFeatureVec [mpppbFeatures]uint16
+
 // MPPPB is the multiperspective perceptron policy.
 type MPPPB struct {
 	ways  int
 	state rrpvState
 	core  perceptronCore
 	hist  [8][4]uint64 // ordered PC history per core
-	feat  [][][]uint16
-	reuse [][]bool
-	fills uint64
+	// Per-line (set*ways+way) fill features, whether the line has any,
+	// and its reuse bit, for training.
+	feat    []mpppbFeatureVec
+	hasFeat []bool
+	reuse   []bool
+	fills   uint64
 }
 
 // NewMPPPB builds the policy.
 func NewMPPPB(sets, ways int) *MPPPB {
-	p := &MPPPB{
-		ways:  ways,
-		state: newRRPVState(sets, ways),
-		core:  newPerceptronCore(mpppbFeatures),
+	return &MPPPB{
+		ways:    ways,
+		state:   newRRPVState(sets, ways),
+		core:    newPerceptronCore(mpppbFeatures),
+		feat:    make([]mpppbFeatureVec, sets*ways),
+		hasFeat: make([]bool, sets*ways),
+		reuse:   make([]bool, sets*ways),
 	}
-	p.feat = make([][][]uint16, sets)
-	p.reuse = make([][]bool, sets)
-	for s := 0; s < sets; s++ {
-		p.feat[s] = make([][]uint16, ways)
-		p.reuse[s] = make([]bool, ways)
-	}
-	return p
 }
 
 // Name implements cache.Policy.
 func (p *MPPPB) Name() string { return "mpppb" }
 
 // features computes the multiperspective feature vector.
-func (p *MPPPB) features(pc, block uint64, core uint8) []uint16 {
+func (p *MPPPB) features(pc, block uint64, core uint8) mpppbFeatureVec {
 	h := &p.hist[core%8]
 	page := block >> 6
-	return []uint16{
+	return mpppbFeatureVec{
 		uint16(hashPC(pc, percTableSize)),             // PC
 		uint16(hashPC(pc>>2, percTableSize)),          // PC shifted
 		uint16(hashPC(h[0]*3, percTableSize)),         // last PC
@@ -79,8 +81,9 @@ const (
 // Victim implements cache.Policy.
 func (p *MPPPB) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
 	w := p.state.victim(set)
-	if lines[w].Valid && !p.reuse[set][w] && p.feat[set][w] != nil {
-		p.core.train(p.feat[set][w], true, p.core.sum(p.feat[set][w]))
+	if i := set*p.ways + w; lines[w].Valid && !p.reuse[i] && p.hasFeat[i] {
+		f := p.feat[i][:]
+		p.core.train(f, true, p.core.sum(f))
 	}
 	return w
 }
@@ -97,15 +100,17 @@ func (p *MPPPB) Update(set, way int, pc, block uint64, core uint8, hit bool, kin
 		p.observe(pc, core)
 		return
 	}
+	i := set*p.ways + way
 	if hit {
-		if !p.reuse[set][way] && p.feat[set][way] != nil {
-			p.core.train(p.feat[set][way], false, p.core.sum(p.feat[set][way]))
+		if !p.reuse[i] && p.hasFeat[i] {
+			f := p.feat[i][:]
+			p.core.train(f, false, p.core.sum(f))
 		}
-		p.reuse[set][way] = true
+		p.reuse[i] = true
 		// Promotion is also prediction-driven in MPPPB: confident-dead
 		// lines are not promoted all the way.
 		f := p.features(pc, block, core)
-		if p.core.sum(f) > mpppbTauHigh {
+		if p.core.sum(f[:]) > mpppbTauHigh {
 			p.state.rrpv[set][way] = maxRRPV - 1
 		} else {
 			p.state.rrpv[set][way] = 0
@@ -115,10 +120,10 @@ func (p *MPPPB) Update(set, way int, pc, block uint64, core uint8, hit bool, kin
 	}
 	// Fill with three-level placement.
 	p.fills++
-	f := p.features(pc, block, core)
-	sum := p.core.sum(f)
-	p.feat[set][way] = f
-	p.reuse[set][way] = false
+	p.feat[i] = p.features(pc, block, core)
+	p.hasFeat[i] = true
+	p.reuse[i] = false
+	sum := p.core.sum(p.feat[i][:])
 	switch {
 	case sum > mpppbTauHigh:
 		p.state.rrpv[set][way] = maxRRPV

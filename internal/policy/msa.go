@@ -161,6 +161,10 @@ type MSA struct {
 	samples    sampler[msaPred] // snapshot: the toucher's k predicted buckets
 	errs       pcErrors
 	debug      MSADebug
+	// Victim's and Update's PredictReuse buffers, held here because
+	// passing a stack array through the ReusePredictor interface moves
+	// it to the heap on every access.
+	incBuf, distBuf [msaMaxSteps]uint64
 
 	// Observability (nil when disabled; see AttachObs).
 	obsPred   *obs.Histogram
@@ -270,8 +274,8 @@ func (p *MSA) TopModelRows(n int) []ModelRow {
 // PredictFriendly reports whether pc's predicted first reuse fits inside
 // the cache capacity.
 func (p *MSA) PredictFriendly(pc uint64, core uint8) bool {
-	var d [1]uint64
-	p.model.PredictReuse(pc, 0, d[:1])
+	d := p.distBuf[:1]
+	p.model.PredictReuse(pc, 0, d)
 	return d[0] < p.capacity
 }
 
@@ -316,8 +320,7 @@ func msaRankGreater(a, b []uint64, clock uint64) bool {
 // incoming access's predicted schedule; evict the greatest, or bypass when
 // the incoming line itself ranks greatest.
 func (p *MSA) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
-	var incBuf [msaMaxSteps]uint64
-	inc := incBuf[:p.k]
+	inc := p.incBuf[:p.k]
 	p.model.PredictReuse(pc, block, inc)
 	for j := range inc {
 		inc[j] = satAdd(p.clock, inc[j])
@@ -356,8 +359,8 @@ func (p *MSA) Update(set, way int, pc, block uint64, core uint8, hit bool, kind 
 	if p.learn != nil {
 		p.trainSampled(set, pc, block)
 	}
-	var dist [msaMaxSteps]uint64
-	p.model.PredictReuse(pc, block, dist[:p.k])
+	dist := p.distBuf[:p.k]
+	p.model.PredictReuse(pc, block, dist)
 	if p.learn != nil {
 		p.obsPred.Observe(float64(reuseBucket(dist[0])))
 	}

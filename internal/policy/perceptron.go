@@ -25,7 +25,7 @@ const (
 	percTauBypass = 10 // predict dead when sum exceeds this
 )
 
-// featureSet computes the per-feature table indices for one access.
+// percFeatures is one access's per-feature weight-table indices.
 type percFeatures [4]uint16
 
 // perceptronCore holds the weight tables shared by Perceptron and MPPPB.
@@ -87,25 +87,23 @@ type Perceptron struct {
 	core  perceptronCore
 	// Ordered PC history per core.
 	hist [8][3]uint64
-	// Per-line stored feature indices and reuse bit for training.
-	feat   [][][]uint16
-	reused [][]bool
+	// Per-line (set*ways+way) fill features, whether the line has any,
+	// and its reuse bit, for training.
+	feat    []percFeatures
+	hasFeat []bool
+	reused  []bool
 }
 
 // NewPerceptron builds the policy.
 func NewPerceptron(sets, ways int) *Perceptron {
-	p := &Perceptron{
-		ways:  ways,
-		state: newRRPVState(sets, ways),
-		core:  newPerceptronCore(4),
+	return &Perceptron{
+		ways:    ways,
+		state:   newRRPVState(sets, ways),
+		core:    newPerceptronCore(len(percFeatures{})),
+		feat:    make([]percFeatures, sets*ways),
+		hasFeat: make([]bool, sets*ways),
+		reused:  make([]bool, sets*ways),
 	}
-	p.feat = make([][][]uint16, sets)
-	p.reused = make([][]bool, sets)
-	for s := 0; s < sets; s++ {
-		p.feat[s] = make([][]uint16, ways)
-		p.reused[s] = make([]bool, ways)
-	}
-	return p
 }
 
 // Name implements cache.Policy.
@@ -113,9 +111,9 @@ func (p *Perceptron) Name() string { return "perceptron" }
 
 // features builds the ordered-history feature vector: each history position
 // is a separate feature, so ordering is baked into the representation.
-func (p *Perceptron) features(pc uint64, core uint8) []uint16 {
+func (p *Perceptron) features(pc uint64, core uint8) percFeatures {
 	h := &p.hist[core%8]
-	return []uint16{
+	return percFeatures{
 		uint16(hashPC(pc, percTableSize)),
 		uint16(hashPC(h[0]*3, percTableSize)),
 		uint16(hashPC(h[1]*5, percTableSize)),
@@ -132,8 +130,9 @@ func (p *Perceptron) observe(pc uint64, core uint8) {
 // training.
 func (p *Perceptron) Victim(set int, pc, block uint64, core uint8, lines []cache.Line) int {
 	w := p.state.victim(set)
-	if lines[w].Valid && !p.reused[set][w] && p.feat[set][w] != nil {
-		p.core.train(p.feat[set][w], true, p.core.sum(p.feat[set][w]))
+	if i := set*p.ways + w; lines[w].Valid && !p.reused[i] && p.hasFeat[i] {
+		f := p.feat[i][:]
+		p.core.train(f, true, p.core.sum(f))
 	}
 	return w
 }
@@ -150,20 +149,22 @@ func (p *Perceptron) Update(set, way int, pc, block uint64, core uint8, hit bool
 		p.observe(pc, core)
 		return
 	}
+	i := set*p.ways + way
 	if hit {
-		if !p.reused[set][way] && p.feat[set][way] != nil {
-			p.core.train(p.feat[set][way], false, p.core.sum(p.feat[set][way]))
+		if !p.reused[i] && p.hasFeat[i] {
+			f := p.feat[i][:]
+			p.core.train(f, false, p.core.sum(f))
 		}
-		p.reused[set][way] = true
+		p.reused[i] = true
 		p.state.rrpv[set][way] = 0
 		p.observe(pc, core)
 		return
 	}
 	// Fill.
-	f := p.features(pc, core)
-	sum := p.core.sum(f)
-	p.feat[set][way] = f
-	p.reused[set][way] = false
+	p.feat[i] = p.features(pc, core)
+	p.hasFeat[i] = true
+	p.reused[i] = false
+	sum := p.core.sum(p.feat[i][:])
 	if sum > percTauBypass {
 		p.state.rrpv[set][way] = maxRRPV
 	} else if sum > 0 {

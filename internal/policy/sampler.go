@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"cmp"
 	"slices"
 
 	"glider/internal/obs"
@@ -32,6 +33,12 @@ type sample[T any] struct {
 // access — or its expiry un-reused — trains what the model predicted at
 // that touch. Each owner keeps its own clock and training step.
 //
+// Each set's records sit in one slice in touch order, oldest first. Every
+// owner stamps records from a clock that never runs backwards (the set's
+// OPTgen clock for Hawkeye and Glider, the global demand clock for FRD and
+// MSA), so a set's queue is also ordered by time and its expired records
+// are always a prefix of it.
+//
 // Every set is sampled. The CRC2 Hawkeye samples 64 of 2048 sets, but its
 // traces are ~150× longer than this simulator's synthetic ones: at that
 // density a sampled set here would see barely one window's worth of
@@ -40,52 +47,81 @@ type sample[T any] struct {
 // predictor a comparable number of training events per simulated access —
 // a simulation-scale adaptation documented in DESIGN.md §5.
 type sampler[T any] struct {
-	ways int
-	sets []map[uint64]sample[T] // block → last toucher; nil until first touched
+	sets  [][]record[T] // per set, records in touch order (oldest first)
+	stale []record[T]   // expire's scratch: one set's expired prefix
 }
 
+// record is one queued sampler entry: the block and its last toucher.
+type record[T any] struct {
+	block uint64
+	sample[T]
+}
+
+// newSampler carves every set's queue from one slab with room for
+// optgenWindowFactor×ways records, a window's worth; a set that outgrows
+// it moves to its own array.
 func newSampler[T any](sets, ways int) sampler[T] {
-	return sampler[T]{ways: ways, sets: make([]map[uint64]sample[T], sets)}
+	per := optgenWindowFactor * ways
+	slab := make([]record[T], sets*per)
+	s := sampler[T]{sets: make([][]record[T], sets)}
+	for i := range s.sets {
+		s.sets[i] = slab[i*per : i*per : (i+1)*per]
+	}
+	return s
 }
 
 // touch replaces block's record in set with the one next returns. next
 // receives the record it replaces (ok is false when there is none) before
 // the store, so an owner trains on the previous touch first and then
-// snapshots its model after that training.
+// snapshots its model after that training. The record returned must carry
+// a time no earlier than any other in the set.
 func (s *sampler[T]) touch(set int, block uint64, next func(prev sample[T], ok bool) sample[T]) {
-	m := s.sets[set]
-	if m == nil {
-		m = make(map[uint64]sample[T], optgenWindowFactor*s.ways)
-		s.sets[set] = m
+	q := s.sets[set]
+	// Search newest first: a re-touched block was most often touched
+	// recently.
+	i := len(q) - 1
+	for i >= 0 && q[i].block != block {
+		i--
 	}
-	prev, ok := m[block]
-	m[block] = next(prev, ok)
+	if i < 0 {
+		s.sets[set] = append(q, record[T]{block: block, sample: next(sample[T]{}, false)})
+		return
+	}
+	prev := q[i].sample
+	copy(q[i:], q[i+1:])
+	q[len(q)-1] = record[T]{block: block, sample: next(prev, true)}
 }
 
 // expire hands every record older than window — measured against now(set),
-// the owner's clock for its set — to fn and deletes it. Sets are visited in
-// ascending order and each set's blocks in ascending order: Glider's,
-// FRD's and MSA's training steps do not commute (adaptive thresholds,
-// regression steps), so map-range order would make whole simulations
-// nondeterministic.
+// the owner's clock for its set — to fn and drops it. The expired records
+// are a prefix of each queue, so the scan of a set stops at its first live
+// record. Sets are
+// visited in ascending order and each set's expired blocks in ascending
+// block order: Glider's, FRD's and MSA's training steps do not commute
+// (adaptive thresholds, regression steps), so the order is part of every
+// simulation's output.
 func (s *sampler[T]) expire(window uint64, now func(set int) uint64, fn func(sample[T])) {
-	var stale []uint64
-	for set, m := range s.sets {
-		if len(m) == 0 {
+	for set, q := range s.sets {
+		if len(q) == 0 {
 			continue
 		}
 		t := now(set)
-		stale = stale[:0]
-		for b, e := range m {
-			if t-e.time > window {
-				stale = append(stale, b)
-			}
+		n := 0
+		for n < len(q) && t-q[n].time > window {
+			n++
 		}
-		slices.Sort(stale)
-		for _, b := range stale {
-			fn(m[b])
-			delete(m, b)
+		if n == 0 {
+			continue
 		}
+		s.stale = append(s.stale[:0], q[:n]...)
+		slices.SortFunc(s.stale, func(a, b record[T]) int { return cmp.Compare(a.block, b.block) })
+		for _, r := range s.stale {
+			fn(r.sample)
+		}
+		clear(s.stale)
+		rest := copy(q, q[n:])
+		clear(q[rest:])
+		s.sets[set] = q[:rest]
 	}
 }
 
@@ -94,6 +130,7 @@ func (s *sampler[T]) expire(window uint64, now func(set int) uint64, fn func(sam
 // use, and whose clock for a set is that set's OPTgen clock.
 type optSampler[T any] struct {
 	sampler[T]
+	ways     int
 	optgen   []*opt.OPTgen // nil until the set is first accessed
 	accesses uint64
 
@@ -103,7 +140,7 @@ type optSampler[T any] struct {
 }
 
 func newOptSampler[T any](sets, ways int) optSampler[T] {
-	return optSampler[T]{sampler: newSampler[T](sets, ways), optgen: make([]*opt.OPTgen, sets)}
+	return optSampler[T]{sampler: newSampler[T](sets, ways), ways: ways, optgen: make([]*opt.OPTgen, sets)}
 }
 
 // attachObs registers the OPTgen verdict and utilization metrics under
