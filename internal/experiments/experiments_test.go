@@ -191,6 +191,7 @@ func TestFig11AndFig12(t *testing.T) {
 	if !strings.Contains(buf.String(), "Figure 12") {
 		t.Fatal("render missing Figure 12 section")
 	}
+	checkDigests(t, f, "b7e58636a17c92fc97e4ce14847e17ae808240d6407719e20e6fbe72464c2de5", "d0a637100a6125ab6270905571b3c015032a35102210ecc194c68da9988a5f9c")
 }
 
 func TestFig13(t *testing.T) {
@@ -392,4 +393,5 @@ func TestLineage(t *testing.T) {
 	if !strings.Contains(buf.String(), "glider") {
 		t.Fatal("render missing policies")
 	}
+	checkDigests(t, l, "7e62fad5d87f4293719bf0ff6b3000d4ca536cd8957fa1635ee630de32b50838", "df2ebe08909560d56f6143cd0678d7d9fce90f50a59c4cf1c96c75aaf13e63ba")
 }

@@ -51,6 +51,8 @@ func TestSweepPrunedNeverWrongOnFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkDigests(t, ex, "e19087af24031898f4fc73450729391da9d10ff01c8b77bcf976acd7ec7fc72a", "79cba9fc8b679992573889f15e640e419a824799c9df965152730a8d54f9d7e9")
+	checkDigests(t, pr, "5d5684825aae571ca4d650385ad4a75d72eccb998e86ced4100ed512d983562d", "a55ad8df8331704357f3861930782f1f5440c5ed32170a148e281dae68748f8d")
 
 	if !reflect.DeepEqual(pr.Frontier, ex.Frontier) {
 		t.Fatalf("pruned frontier diverges from exhaustive:\npruned:     %+v\nexhaustive: %+v", pr.Frontier, ex.Frontier)
