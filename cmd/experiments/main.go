@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"glider/internal/experiments"
@@ -145,16 +146,17 @@ func main() {
 
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: experiments [flags] <table1|table2|table3|table4|fig4|fig5|fig6|fig9|fig10|fig11|fig12|fig13|fig14|fig15|ablations|extension|lineage|zoo|learned|estimate|all>...")
+		fmt.Fprintln(os.Stderr, "usage: experiments [flags] <"+strings.Join(append(names(false), "all"), "|")+">...")
 		os.Exit(2)
 	}
 	if len(args) == 1 && args[0] == "all" {
-		args = []string{"table1", "table2", "fig4", "fig5", "fig6", "fig9", "fig10", "fig11", "fig13", "fig14", "fig15", "table3", "table4", "ablations", "extension", "lineage", "zoo", "learned"}
+		args = names(true)
 	}
 
+	in := inputs{zooSpecs: zooSpecs, sweepWLs: sweepWLs}
 	for _, name := range args {
 		start := time.Now()
-		if err := run(name, cfg, zooSpecs, sweepWLs, *asJSON); err != nil {
+		if err := run(name, cfg, in, *asJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
 			stopProf()
 			os.Exit(1)
@@ -206,121 +208,53 @@ func emit(name string, r renderer, asJSON bool) error {
 	return enc.Encode(map[string]any{"experiment": name, "result": r})
 }
 
-func run(name string, cfg experiments.Config, zooSpecs, sweepWLs []string, asJSON bool) error {
-	switch name {
-	case "zoo":
-		z, err := experiments.RunZoo(cfg, zooSpecs)
-		if err != nil {
-			return err
-		}
-		return emit(name, z, asJSON)
-	case "learned":
-		l, err := experiments.RunLearned(cfg)
-		if err != nil {
-			return err
-		}
-		return emit(name, l, asJSON)
-	case "estimate":
-		e, err := experiments.RunEstimate(cfg, sweepWLs)
-		if err != nil {
-			return err
-		}
-		return emit(name, e, asJSON)
-	case "table1":
-		return emit(name, experiments.RunTable1(), asJSON)
-	case "table2":
-		t, err := experiments.RunTable2(cfg)
-		if err != nil {
-			return err
-		}
-		return emit(name, t, asJSON)
-	case "table3":
-		t, err := experiments.RunTable3(cfg)
-		if err != nil {
-			return err
-		}
-		return emit(name, t, asJSON)
-	case "table4":
-		t, err := experiments.RunTable4(cfg)
-		if err != nil {
-			return err
-		}
-		return emit(name, t, asJSON)
-	case "fig4":
-		f, err := experiments.RunFig4(cfg)
-		if err != nil {
-			return err
-		}
-		return emit(name, f, asJSON)
-	case "fig5":
-		f, err := experiments.RunFig5(cfg)
-		if err != nil {
-			return err
-		}
-		return emit(name, f, asJSON)
-	case "fig6":
-		f, err := experiments.RunFig6(cfg)
-		if err != nil {
-			return err
-		}
-		return emit(name, f, asJSON)
-	case "fig9":
-		f, err := experiments.RunFig9(cfg)
-		if err != nil {
-			return err
-		}
-		return emit(name, f, asJSON)
-	case "fig10":
-		f, err := experiments.RunFig10(cfg)
-		if err != nil {
-			return err
-		}
-		return emit(name, f, asJSON)
-	case "fig11", "fig12":
-		f, err := experiments.RunFig11(cfg)
-		if err != nil {
-			return err
-		}
-		return emit(name, f, asJSON)
-	case "fig13":
-		f, err := experiments.RunFig13(cfg)
-		if err != nil {
-			return err
-		}
-		return emit(name, f, asJSON)
-	case "fig14":
+// inputs are the flag values that only some experiments read.
+type inputs struct{ zooSpecs, sweepWLs []string }
+
+// runner runs one experiment and returns its results in emit order. On
+// error it returns the results completed before the failure.
+type runner func(experiments.Config, inputs) ([]renderer, error)
+
+// one adapts a single-result experiment.
+func one[T renderer](f func(experiments.Config) (T, error)) runner {
+	return func(cfg experiments.Config, _ inputs) ([]renderer, error) { return single(f(cfg)) }
+}
+
+func single[T renderer](r T, err error) ([]renderer, error) {
+	if err != nil {
+		return nil, err
+	}
+	return []renderer{r}, nil
+}
+
+// table lists every experiment in the order "all" runs them; inAll is false
+// for the ones "all" skips (the fig12 alias and the surrogate study).
+var table = []struct {
+	name  string
+	inAll bool
+	run   runner
+}{
+	{"table1", true, func(experiments.Config, inputs) ([]renderer, error) {
+		return []renderer{experiments.RunTable1()}, nil
+	}},
+	{"table2", true, one(experiments.RunTable2)},
+	{"fig4", true, one(experiments.RunFig4)},
+	{"fig5", true, one(experiments.RunFig5)},
+	{"fig6", true, one(experiments.RunFig6)},
+	{"fig9", true, one(experiments.RunFig9)},
+	{"fig10", true, one(experiments.RunFig10)},
+	{"fig11", true, one(experiments.RunFig11)},
+	{"fig12", false, one(experiments.RunFig11)}, // fig11 and fig12 share runs
+	{"fig13", true, one(experiments.RunFig13)},
+	{"fig14", true, one(func(cfg experiments.Config) (experiments.Fig14, error) {
 		lstm, linear := experiments.DefaultFig14Lens()
-		f, err := experiments.RunFig14(cfg, lstm, linear)
-		if err != nil {
-			return err
-		}
-		return emit(name, f, asJSON)
-	case "fig15":
-		f, err := experiments.RunFig15(cfg)
-		if err != nil {
-			return err
-		}
-		return emit(name, f, asJSON)
-	case "extension":
-		e, err := experiments.RunExtensionMLP(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit(name, e, asJSON); err != nil {
-			return err
-		}
-		q, err := experiments.RunExtensionQuantization(cfg)
-		if err != nil {
-			return err
-		}
-		return emit(name, q, asJSON)
-	case "lineage":
-		l, err := experiments.RunLineage(cfg)
-		if err != nil {
-			return err
-		}
-		return emit(name, l, asJSON)
-	case "ablations":
+		return experiments.RunFig14(cfg, lstm, linear)
+	})},
+	{"fig15", true, one(experiments.RunFig15)},
+	{"table3", true, one(experiments.RunTable3)},
+	{"table4", true, one(experiments.RunTable4)},
+	{"ablations", true, func(cfg experiments.Config, _ inputs) ([]renderer, error) {
+		var out []renderer
 		for _, runA := range []func(experiments.Config) (experiments.Ablation, error){
 			experiments.RunAblationOptgenVsBelady,
 			experiments.RunAblationOrderedVsUnordered,
@@ -330,14 +264,57 @@ func run(name string, cfg experiments.Config, zooSpecs, sweepWLs []string, asJSO
 		} {
 			a, err := runA(cfg)
 			if err != nil {
-				return err
+				return out, err
 			}
-			if err := emit(name, a, asJSON); err != nil {
+			out = append(out, a)
+		}
+		return out, nil
+	}},
+	{"extension", true, func(cfg experiments.Config, _ inputs) ([]renderer, error) {
+		e, err := experiments.RunExtensionMLP(cfg)
+		if err != nil {
+			return nil, err
+		}
+		q, err := experiments.RunExtensionQuantization(cfg)
+		if err != nil {
+			return []renderer{e}, err
+		}
+		return []renderer{e, q}, nil
+	}},
+	{"lineage", true, one(experiments.RunLineage)},
+	{"zoo", true, func(cfg experiments.Config, in inputs) ([]renderer, error) {
+		return single(experiments.RunZoo(cfg, in.zooSpecs))
+	}},
+	{"learned", true, one(experiments.RunLearned)},
+	{"estimate", false, func(cfg experiments.Config, in inputs) ([]renderer, error) {
+		return single(experiments.RunEstimate(cfg, in.sweepWLs))
+	}},
+}
+
+// names lists the experiments in table order; allOnly keeps those "all" runs.
+func names(allOnly bool) []string {
+	var out []string
+	for _, e := range table {
+		if e.inAll || !allOnly {
+			out = append(out, e.name)
+		}
+	}
+	return out
+}
+
+// run runs the named experiment and emits each of its results.
+func run(name string, cfg experiments.Config, in inputs, asJSON bool) error {
+	for _, e := range table {
+		if e.name != name {
+			continue
+		}
+		results, err := e.run(cfg, in)
+		for _, r := range results {
+			if err := emit(name, r, asJSON); err != nil {
 				return err
 			}
 		}
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
+		return err
 	}
-	return nil
+	return fmt.Errorf("unknown experiment %q", name)
 }

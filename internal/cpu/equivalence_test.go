@@ -154,3 +154,48 @@ func TestFastUpperEquivalenceMultiCore(t *testing.T) {
 		})
 	}
 }
+
+// TestFunctionalMatchesTimingLLC pins the invariant that lets a timing-free
+// run stand in for a timed one wherever only LLC behaviour matters: Run
+// calls h.Access in trace order whatever the timing, so for every
+// registered policy the post-warmup LLC statistics of RunFunctional and
+// Run are identical.
+func TestFunctionalMatchesTimingLLC(t *testing.T) {
+	t.Parallel()
+	const accesses = 40_000
+	for _, name := range []string{"omnetpp", "lbm"} { // loads only; stores and writebacks
+		for _, pol := range policy.Names() {
+			name, pol := name, pol
+			t.Run(name+"/"+pol, func(t *testing.T) {
+				t.Parallel()
+				spec, err := workload.Lookup(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr := workload.Shared(spec, accesses, 42)
+				fh, err := BuildHierarchy(1, pol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fn, err := RunFunctional(context.Background(), tr, fh, accesses/5, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				th, err := BuildHierarchy(1, pol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tm, err := Run(context.Background(), tr, th, dram.New(dram.SingleCoreConfig()), DefaultCoreConfig(), accesses/5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fn.LLC != tm.LLC {
+					t.Fatalf("LLC stats diverged:\nfunctional=%+v\ntiming    =%+v", fn.LLC, tm.LLC)
+				}
+				if tm.LLC.Evictions == 0 {
+					t.Fatal("the LLC never evicted, so the comparison shows nothing")
+				}
+			})
+		}
+	}
+}

@@ -87,24 +87,6 @@ func SingleCore(ctx context.Context, spec workload.Spec, policyName string, acce
 	return Run(ctx, t, h, d, DefaultCoreConfig(), accesses/5)
 }
 
-// SingleCoreMissRate runs one benchmark functionally and returns the LLC
-// miss rate (Figure 11's underlying metric).
-func SingleCoreMissRate(ctx context.Context, spec workload.Spec, policyName string, accesses int, seed int64) (float64, error) {
-	t, err := workload.SharedE(spec, accesses, seed)
-	if err != nil {
-		return 0, err
-	}
-	h, err := BuildHierarchy(1, policyName)
-	if err != nil {
-		return 0, err
-	}
-	res, err := RunFunctional(ctx, t, h, accesses/5, false)
-	if err != nil {
-		return 0, err
-	}
-	return res.LLC.MissRate(), nil
-}
-
 // MultiCore runs a workload mix on a shared LLC with full timing and
 // returns the per-core IPCs.
 func MultiCore(ctx context.Context, mix workload.Mix, policyName string, accessesPerCore int, seed int64) (Result, error) {

@@ -73,8 +73,8 @@ func TestEstimateStudyPlumbing(t *testing.T) {
 		Sweep: Sweep{
 			Workloads:  []string{"omnetpp"},
 			Policies:   []string{"lru"},
-			Cells:      []SweepCell{{Workload: "omnetpp", Policy: "lru", Source: "exact"}},
-			Frontier:   []SweepCell{{Workload: "omnetpp", Policy: "lru", Source: "exact"}},
+			Cells:      []SweepCell{{GridCell: GridCell{Workload: "omnetpp", Policy: "lru"}, Source: "exact"}},
+			Frontier:   []SweepCell{{GridCell: GridCell{Workload: "omnetpp", Policy: "lru"}, Source: "exact"}},
 			ExactCells: 1,
 		},
 	}

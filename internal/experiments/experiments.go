@@ -590,14 +590,8 @@ type Fig11 struct {
 	SuiteAverages map[string]map[string][2]float64 // [missReduction, speedup]
 }
 
-// simPoint is one timing simulation's summary, the unit of work the
-// single-core study parallelizes over.
-type simPoint struct {
-	MissRate, IPC float64
-}
-
 // RunFig11 runs every single-core benchmark under LRU plus the comparison
-// policies with full timing: one parallel job per (benchmark, policy)
+// policies with full timing: one runGrid cell per (benchmark, policy)
 // simulation, then a serial-order reduction so results are bit-identical
 // to the serial implementation.
 func RunFig11(cfg Config) (Fig11, error) {
@@ -617,23 +611,7 @@ func RunFig11(cfg Config) (Fig11, error) {
 	}
 
 	specs := workload.SingleCoreSet()
-	pols := append([]string{"lru"}, PolicySet...)
-	jobs := make([]simrunner.Job[simPoint], 0, len(specs)*len(pols))
-	for _, spec := range specs {
-		for _, pol := range pols {
-			jobs = append(jobs, simrunner.Job[simPoint]{
-				Key: simrunner.Key("fig11", spec.Name, pol),
-				Run: func(ctx context.Context) (simPoint, error) {
-					res, err := cpu.SingleCore(ctx, spec, pol, cfg.Accesses, cfg.Seed)
-					if err != nil {
-						return simPoint{}, err
-					}
-					return simPoint{MissRate: res.LLC.MissRate(), IPC: res.IPC}, nil
-				},
-			})
-		}
-	}
-	points, err := simrunner.Values(simrunner.Run(context.Background(), cfg.runnerOpts(), jobs))
+	cells, err := runGrid(cfg, "fig11", specs, append([]string{"lru"}, PolicySet...))
 	if err != nil {
 		return out, err
 	}
@@ -642,20 +620,20 @@ func RunFig11(cfg Config) (Fig11, error) {
 	// serial loops ran in), so float accumulation order is unchanged.
 	k := 0
 	for _, spec := range specs {
-		base := points[k]
+		base := cells[k]
 		k++
 		row := Fig11Row{
 			Name:          spec.Name,
-			LRUMissRate:   base.MissRate,
+			LRUMissRate:   base.LLCMissRate,
 			LRUIPC:        base.IPC,
 			MissReduction: map[string]float64{},
 			Speedup:       map[string]float64{},
 		}
 		for _, pol := range PolicySet {
-			res := points[k]
+			res := cells[k]
 			k++
-			if base.MissRate > 0 {
-				row.MissReduction[pol] = 100 * (base.MissRate - res.MissRate) / base.MissRate
+			if base.LLCMissRate > 0 {
+				row.MissReduction[pol] = 100 * (base.LLCMissRate - res.LLCMissRate) / base.LLCMissRate
 			}
 			if base.IPC > 0 {
 				row.Speedup[pol] = 100 * (res.IPC - base.IPC) / base.IPC

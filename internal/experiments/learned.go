@@ -9,12 +9,9 @@ package experiments
 // deterministic parallel-runner machinery as every other sweep.
 
 import (
-	"context"
 	"fmt"
 	"io"
 
-	"glider/internal/cpu"
-	"glider/internal/simrunner"
 	"glider/internal/workload"
 )
 
@@ -22,20 +19,12 @@ import (
 // baseline, in render order.
 var LearnedPolicySet = []string{"lru", "hawkeye", "glider", "frd", "msa"}
 
-// LearnedCell is one (benchmark, policy) outcome of the learned sweep.
-type LearnedCell struct {
-	Workload    string  `json:"workload"`
-	Policy      string  `json:"policy"`
-	IPC         float64 `json:"ipc"`
-	LLCMissRate float64 `json:"llc_miss_rate"`
-}
-
 // Learned is the learned-policy sweep result: Cells ordered benchmark-major
 // in OfflineSet order, policy order LearnedPolicySet.
 type Learned struct {
-	Benchmarks []string      `json:"benchmarks"`
-	Policies   []string      `json:"policies"`
-	Cells      []LearnedCell `json:"cells"`
+	Benchmarks []string   `json:"benchmarks"`
+	Policies   []string   `json:"policies"`
+	Cells      []GridCell `json:"cells"`
 }
 
 // RunLearned sweeps the Table 2 benchmark set across LearnedPolicySet on
@@ -43,33 +32,13 @@ type Learned struct {
 func RunLearned(cfg Config) (Learned, error) {
 	specs := workload.OfflineSet()
 	out := Learned{Policies: LearnedPolicySet}
-	var jobs []simrunner.Job[LearnedCell]
 	for _, spec := range specs {
 		out.Benchmarks = append(out.Benchmarks, spec.Name)
-		for _, pol := range LearnedPolicySet {
-			spec, pol := spec, pol
-			jobs = append(jobs, simrunner.Job[LearnedCell]{
-				Key: simrunner.Key("learned", spec.Name, pol),
-				Run: func(ctx context.Context) (LearnedCell, error) {
-					res, err := cpu.SingleCore(ctx, spec, pol, cfg.Accesses, cfg.Seed)
-					if err != nil {
-						return LearnedCell{}, fmt.Errorf("learned %s/%s: %w", spec.Name, pol, err)
-					}
-					return LearnedCell{
-						Workload:    spec.Name,
-						Policy:      pol,
-						IPC:         res.IPC,
-						LLCMissRate: res.LLC.MissRate(),
-					}, nil
-				},
-			})
-		}
 	}
-	cells, err := simrunner.Values(simrunner.Run(context.Background(), cfg.runnerOpts(), jobs))
-	if err != nil {
+	var err error
+	if out.Cells, err = runGrid(cfg, "learned", specs, LearnedPolicySet); err != nil {
 		return Learned{}, err
 	}
-	out.Cells = cells
 	return out, nil
 }
 
@@ -77,30 +46,15 @@ func RunLearned(cfg Config) (Learned, error) {
 // plus a speedup-over-LRU summary line per policy.
 func (l Learned) Render(w io.Writer) {
 	fmt.Fprintln(w, "Learned-policy zoo: LLC miss rate by policy (Table 2 benchmarks)")
-	fmt.Fprintf(w, "  %-12s", "benchmark")
-	for _, p := range l.Policies {
-		fmt.Fprintf(w, " %9s", p)
-	}
-	fmt.Fprintln(w)
-	byKey := make(map[string]LearnedCell, len(l.Cells))
-	for _, c := range l.Cells {
-		byKey[c.Workload+"\x00"+c.Policy] = c
-	}
-	for _, b := range l.Benchmarks {
-		fmt.Fprintf(w, "  %-12s", b)
-		for _, p := range l.Policies {
-			fmt.Fprintf(w, " %8.2f%%", 100*byKey[b+"\x00"+p].LLCMissRate)
-		}
-		fmt.Fprintln(w)
-	}
+	byKey := renderMissRates(w, "benchmark", 12, l.Benchmarks, l.Policies, l.Cells)
 	fmt.Fprintf(w, "  %-12s", "ipc vs lru")
 	for _, p := range l.Policies {
 		var sum float64
 		n := 0
 		for _, b := range l.Benchmarks {
-			base := byKey[b+"\x00lru"].IPC
+			base := byKey[[2]string{b, "lru"}].IPC
 			if base > 0 {
-				sum += byKey[b+"\x00"+p].IPC / base
+				sum += byKey[[2]string{b, p}].IPC / base
 				n++
 			}
 		}

@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
-	"glider/internal/cpu"
 	"glider/internal/workload"
 )
 
@@ -36,23 +34,28 @@ type Lineage struct {
 }
 
 // RunLineage measures every policy on a representative benchmark triple
-// (pointer-chasing, context-dependent, graph).
+// (pointer-chasing, context-dependent, graph) on the parallel runner.
 func RunLineage(cfg Config) (Lineage, error) {
 	out := Lineage{Policies: LineagePolicies, AvgReduction: map[string]float64{}}
 	benches := []string{"mcf", "omnetpp", "bfs"}
-	sums := map[string]float64{}
-	for _, name := range benches {
+	specs := make([]workload.Spec, len(benches))
+	for i, name := range benches {
 		spec, err := workload.Lookup(name)
 		if err != nil {
 			return out, err
 		}
+		specs[i] = spec
+	}
+	cells, err := runGrid(cfg, "lineage", specs, LineagePolicies)
+	if err != nil {
+		return out, err
+	}
+	sums := map[string]float64{}
+	for i, name := range benches {
 		row := LineageRow{Name: name, MissRates: map[string]float64{}}
 		var lru float64
-		for _, pol := range LineagePolicies {
-			mr, err := cpu.SingleCoreMissRate(context.Background(), spec, pol, cfg.Accesses, cfg.Seed)
-			if err != nil {
-				return out, err
-			}
+		for j, pol := range LineagePolicies {
+			mr := cells[i*len(LineagePolicies)+j].LLCMissRate
 			row.MissRates[pol] = mr
 			if pol == "lru" {
 				lru = mr

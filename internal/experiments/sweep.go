@@ -6,7 +6,6 @@ import (
 	"io"
 	"strconv"
 
-	"glider/internal/cpu"
 	"glider/internal/estimate"
 	"glider/internal/policy"
 	"glider/internal/simrunner"
@@ -61,13 +60,11 @@ func DefaultSweepWorkloads() []string {
 
 // SweepCell is one grid cell. Source says how the numbers were produced:
 // "exact" cells are simulation output; "surrogate" cells carry the model's
-// prediction plus its conformal bound.
+// prediction plus its conformal bound. The embedded GridCell's fields are
+// promoted in JSON, so a cell encodes as one flat object.
 type SweepCell struct {
-	Workload    string  `json:"workload"`
-	Policy      string  `json:"policy"`
-	IPC         float64 `json:"ipc"`
-	LLCMissRate float64 `json:"llc_miss_rate"`
-	Source      string  `json:"source"`
+	GridCell
+	Source string `json:"source"`
 	// MissRateBound bounds a surrogate cell's miss-rate error; zero on
 	// exact cells.
 	MissRateBound float64 `json:"llc_miss_rate_bound,omitempty"`
@@ -281,10 +278,7 @@ func RunSweepPruned(cfg Config, opts SweepOptions) (Sweep, error) {
 			}
 			p := preds[wi][qi]
 			s.Cells = append(s.Cells, SweepCell{
-				Workload:      spec.Name,
-				Policy:        pol,
-				IPC:           p.IPC,
-				LLCMissRate:   p.MissRate,
+				GridCell:      GridCell{Workload: spec.Name, Policy: pol, IPC: p.IPC, LLCMissRate: p.MissRate},
 				Source:        "surrogate",
 				MissRateBound: p.MissBound,
 			})
@@ -311,20 +305,12 @@ func newSweep(cfg Config, specs []workload.Spec, pols []string) Sweep {
 // exactCellJob simulates one cell; both sweep variants build their exact
 // cells through it, which is what makes shared cells bit-identical.
 func exactCellJob(cfg Config, spec workload.Spec, pol string) simrunner.Job[SweepCell] {
+	job := gridJob(cfg, simrunner.Key("sweep", spec.Name, strconv.Itoa(cfg.Accesses)), spec, pol)
 	return simrunner.Job[SweepCell]{
-		Key: simrunner.Key("sweep", spec.Name, strconv.Itoa(cfg.Accesses), pol),
+		Key: job.Key,
 		Run: func(ctx context.Context) (SweepCell, error) {
-			res, err := cpu.SingleCore(ctx, spec, pol, cfg.Accesses, cfg.Seed)
-			if err != nil {
-				return SweepCell{}, fmt.Errorf("sweep %s/%s: %w", spec.Name, pol, err)
-			}
-			return SweepCell{
-				Workload:    spec.Name,
-				Policy:      pol,
-				IPC:         res.IPC,
-				LLCMissRate: res.LLC.MissRate(),
-				Source:      "exact",
-			}, nil
+			c, err := job.Run(ctx)
+			return SweepCell{GridCell: c, Source: "exact"}, err
 		},
 	}
 }

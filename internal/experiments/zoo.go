@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
-	"glider/internal/cpu"
-	"glider/internal/simrunner"
 	"glider/internal/workload"
 )
 
@@ -33,20 +30,12 @@ func DefaultZoo() []string {
 	}
 }
 
-// ZooCell is one (scenario, policy) simulation outcome.
-type ZooCell struct {
-	Workload    string  `json:"workload"`
-	Policy      string  `json:"policy"`
-	IPC         float64 `json:"ipc"`
-	LLCMissRate float64 `json:"llc_miss_rate"`
-}
-
 // Zoo is the scenario-zoo sweep result: Cells ordered scenario-major in the
 // input order, policy order PolicySet plus LRU baseline.
 type Zoo struct {
-	Scenarios []string  `json:"scenarios"`
-	Policies  []string  `json:"policies"`
-	Cells     []ZooCell `json:"cells"`
+	Scenarios []string   `json:"scenarios"`
+	Policies  []string   `json:"policies"`
+	Cells     []GridCell `json:"cells"`
 }
 
 // ZooPolicySet is the comparison set for the scenario zoo: the paper's four
@@ -71,33 +60,10 @@ func RunZoo(cfg Config, specs []string) (Zoo, error) {
 		resolved[i] = spec
 		z.Scenarios = append(z.Scenarios, spec.Name)
 	}
-
-	var jobs []simrunner.Job[ZooCell]
-	for _, spec := range resolved {
-		for _, pol := range ZooPolicySet {
-			spec, pol := spec, pol
-			jobs = append(jobs, simrunner.Job[ZooCell]{
-				Key: simrunner.Key("zoo", spec.Name, pol),
-				Run: func(ctx context.Context) (ZooCell, error) {
-					res, err := cpu.SingleCore(ctx, spec, pol, cfg.Accesses, cfg.Seed)
-					if err != nil {
-						return ZooCell{}, fmt.Errorf("zoo %s/%s: %w", spec.Name, pol, err)
-					}
-					return ZooCell{
-						Workload:    spec.Name,
-						Policy:      pol,
-						IPC:         res.IPC,
-						LLCMissRate: res.LLC.MissRate(),
-					}, nil
-				},
-			})
-		}
-	}
-	cells, err := simrunner.Values(simrunner.Run(context.Background(), cfg.runnerOpts(), jobs))
-	if err != nil {
+	var err error
+	if z.Cells, err = runGrid(cfg, "zoo", resolved, ZooPolicySet); err != nil {
 		return Zoo{}, err
 	}
-	z.Cells = cells
 	record(LedgerKindZoo, z)
 	return z, nil
 }
@@ -105,20 +71,5 @@ func RunZoo(cfg Config, specs []string) (Zoo, error) {
 // Render writes one miss-rate row per scenario, one column per policy.
 func (z Zoo) Render(w io.Writer) {
 	fmt.Fprintln(w, "Scenario zoo: LLC miss rate by policy")
-	fmt.Fprintf(w, "  %-64s", "scenario")
-	for _, p := range z.Policies {
-		fmt.Fprintf(w, " %9s", p)
-	}
-	fmt.Fprintln(w)
-	byKey := make(map[string]ZooCell, len(z.Cells))
-	for _, c := range z.Cells {
-		byKey[c.Workload+"\x00"+c.Policy] = c
-	}
-	for _, s := range z.Scenarios {
-		fmt.Fprintf(w, "  %-64s", s)
-		for _, p := range z.Policies {
-			fmt.Fprintf(w, " %8.2f%%", 100*byKey[s+"\x00"+p].LLCMissRate)
-		}
-		fmt.Fprintln(w)
-	}
+	renderMissRates(w, "scenario", 64, z.Scenarios, z.Policies, z.Cells)
 }
