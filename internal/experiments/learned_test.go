@@ -7,9 +7,12 @@ import (
 	"testing"
 )
 
+// TestRunLearnedSweep also pins the learned sweep byte for byte (see
+// checkDigests) at 40000 accesses, where the LLC fills and policies differ.
 func TestRunLearnedSweep(t *testing.T) {
+	t.Parallel()
 	cfg := Quick()
-	cfg.Accesses = 8_000
+	cfg.Accesses = 40_000
 	l, err := RunLearned(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -38,6 +41,9 @@ func TestRunLearnedSweep(t *testing.T) {
 	if !strings.Contains(buf.String(), "ipc vs lru") {
 		t.Fatal("render missing the speedup summary row")
 	}
+	checkDigests(t, l,
+		"405c57a7a2709faf5d7513cbfb389a75ca8fd87be1977ae57b0b34e3e8bb2a1a",
+		"baca5c5b1a0251b6c6c0f1e3497f0e412c6b22330e079db312d24834bbb2e46c")
 }
 
 // TestZooIncludesReuseDistanceFamily pins the zoo comparison set: the new

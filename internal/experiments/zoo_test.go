@@ -11,9 +11,14 @@ import (
 	"glider/internal/workload"
 )
 
+// TestRunZooDefaultScenarios also pins the zoo byte for byte (see
+// checkDigests). At 40000 accesses the 2 MB LLC fills on these workloads,
+// so policies produce different cells; at 8000 every policy has the same
+// miss rate and a swapped policy would go unnoticed.
 func TestRunZooDefaultScenarios(t *testing.T) {
+	t.Parallel()
 	cfg := Quick()
-	cfg.Accesses = 8_000
+	cfg.Accesses = 40_000
 	z, err := RunZoo(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -44,6 +49,9 @@ func TestRunZooDefaultScenarios(t *testing.T) {
 			t.Fatalf("render missing scenario %s", s)
 		}
 	}
+	checkDigests(t, z,
+		"ef7ad37a8165cc94fcd9eab42184562ce72cd9403d8e2d70a55bd538cf9e8507",
+		"5a64c6173fc317d97a9deab354000acb8a01e013f4ce19401b6f96f48cd164bd")
 }
 
 // TestRunZooAcceptsCustomSpecs covers the three ingest scheme families in

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"glider/internal/estimate"
 	"glider/internal/experiments"
 	"glider/internal/policy"
 	"glider/internal/workload"
@@ -212,6 +213,13 @@ func TestPredictHappyPath(t *testing.T) {
 // experiments.RunEstimateCell, and a repeat request hits the cache with the
 // header intact.
 func TestEstimateHappyPathAndAttribution(t *testing.T) {
+	// Train the process-wide default model before the first request, so the
+	// request's deadline covers serving the estimate and not the one-off
+	// training, which takes tens of seconds under the race detector on a
+	// loaded host.
+	if _, err := estimate.Default(); err != nil {
+		t.Fatal(err)
+	}
 	_, ts := newTestServer(t, Config{})
 
 	check := func(body, wantSource string) Envelope {
